@@ -19,6 +19,7 @@
 #include "mapmatch/hmm_matcher.h"
 #include "nn/backend.h"
 #include "nn/infer/forward.h"
+#include "nn/infer/memo.h"
 #include "nn/kernels.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
@@ -303,6 +304,40 @@ void BM_PredictRouteBeam(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictRouteBeam);
+
+// Context build with and without the traffic posterior memo (arg 1 / 0):
+// on a hit MakeContext skips the traffic CNN and runs only the proxy MLP,
+// the reparameterization and the logit projections.
+void BM_MakeContext(benchmark::State& state) {
+  auto& world = MicroWorld();
+  core::DeepSTConfig cfg =
+      baselines::DeepStConfigOf(eval::DefaultModelConfig(world));
+  if (state.range(0) == 0) cfg.memo_cache_capacity = 0;
+  core::DeepSTModel model(world.net(), cfg, world.traffic_cache());
+  const core::RouteQuery query = eval::QueryFor(world.split().test.front()->trip);
+  for (auto _ : state) {
+    util::Rng rng(7);
+    benchmark::DoNotOptimize(model.MakeContext(query, &rng));
+  }
+  const nn::infer::MemoStats memo = model.traffic_posterior_memo_stats();
+  state.counters["memo_hits"] = static_cast<double>(memo.hits);
+}
+BENCHMARK(BM_MakeContext)->Arg(0)->Arg(1);
+
+// What the posterior memo adds to a miss: one hash over the bytes of the
+// [2, side, side] traffic tensor (chengdu-mini's grid is 12x12,
+// chengdu-full's 52x52).
+void BM_PosteriorMemoKey(benchmark::State& state) {
+  const int64_t side = state.range(0);
+  const std::vector<float> tensor(static_cast<size_t>(2 * side * side), 0.5f);
+  const size_t bytes = tensor.size() * sizeof(float);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        nn::infer::HashBytesKey(tensor.data(), bytes, nn::infer::MemoKey()));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_PosteriorMemoKey)->Arg(12)->Arg(52);
 
 // Batched candidate-set scoring (the route-ranking / recovery hot path):
 // one padded batch through the engine vs `batch` sequential ScoreRoute

@@ -18,6 +18,14 @@ namespace core {
 namespace o = nn::ops;
 using roadnet::SegmentId;
 
+namespace {
+// Entries of the traffic posterior memo. One entry per distinct traffic
+// tensor in use: a slot's tensor, its what-if variants and, across swaps,
+// the generations still pinned. 1024 keeps 2-way set conflicts rare for the
+// ~100 slots a day of queries spans, at 2 x traffic_dim floats per entry.
+constexpr int64_t kPosteriorMemoEntries = 1024;
+}  // namespace
+
 DeepSTModel::DeepSTModel(const roadnet::RoadNetwork& net,
                          const DeepSTConfig& config,
                          traffic::TrafficTensorCache* traffic_cache)
@@ -83,6 +91,12 @@ DeepSTModel::DeepSTModel(const roadnet::RoadNetwork& net,
     memo_ = std::make_unique<nn::infer::TransitionMemoCache>(
         nmax, config.gru_layers, config.gru_hidden,
         config.memo_cache_capacity);
+    if (config.use_traffic) {
+      // An entry is (mu, logvar): mu in the "logits" row, logvar as the
+      // single "layer" of state.
+      posterior_memo_ = std::make_unique<nn::infer::TransitionMemoCache>(
+          config.traffic_dim, 1, config.traffic_dim, kPosteriorMemoEntries);
+    }
   }
 }
 
@@ -152,7 +166,7 @@ void DeepSTModel::RetirePooledSessions() {
   }
   // Retirement's contract is "derived inference state may be stale": drop
   // the packed weights so replacement sessions repack from the current
-  // float parameters, and invalidate the memo cache for the same reason.
+  // float parameters, and invalidate the memo caches for the same reason.
   // Sessions already leased out keep their (possibly stale) shared_ptr and
   // pinned epoch, finish self-consistently, and are dropped on release.
   {
@@ -160,6 +174,7 @@ void DeepSTModel::RetirePooledSessions() {
     shared_weights_.reset();
   }
   InvalidateTransitionCache();
+  if (posterior_memo_ != nullptr) posterior_memo_->Invalidate();
   // Session destructors run outside the lock.
 }
 
@@ -179,6 +194,11 @@ nn::infer::MemoStats DeepSTModel::transition_memo_stats() const {
 
 void DeepSTModel::InvalidateTransitionCache() {
   if (memo_ != nullptr) memo_->Invalidate();
+}
+
+nn::infer::MemoStats DeepSTModel::traffic_posterior_memo_stats() const {
+  if (posterior_memo_ == nullptr) return nn::infer::MemoStats();
+  return posterior_memo_->stats();
 }
 
 int64_t DeepSTModel::outstanding_session_leases() const {
@@ -245,7 +265,7 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
     const std::vector<const traj::Trip*>& batch, util::Rng* rng,
     bool training, std::vector<nn::VarPtr>* extra_loss_terms,
     LossStats* stats, traffic::TrafficTensorCache* traffic_cache,
-    const traffic::TrafficOverlay* overlay) {
+    const traffic::TrafficOverlay* overlay, bool memoize_posterior) {
   const int64_t bsz = static_cast<int64_t>(batch.size());
   BatchContext ctx;
 
@@ -327,7 +347,10 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
         unique_tensors[i] = &overlaid[i];
       }
     }
-    TrafficPosterior post = traffic_encoder_->Encode(unique_tensors, training);
+    TrafficPosterior post =
+        memoize_posterior && posterior_memo_ != nullptr
+            ? MemoizedPosterior(unique_tensors)
+            : traffic_encoder_->Encode(unique_tensors, training);
     // Gather per-trip posterior params, then reparameterize per trip.
     nn::VarPtr mu_b = o::EmbeddingLookup(post.mu, trip_slot_index);
     nn::VarPtr logvar_b = o::EmbeddingLookup(post.logvar, trip_slot_index);
@@ -351,6 +374,31 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
     }
   }
   return ctx;
+}
+
+TrafficPosterior DeepSTModel::MemoizedPosterior(
+    const std::vector<const nn::Tensor*>& tensors) {
+  // MakeContextImpl's batch is one trip, so there is one tensor to encode;
+  // a miss encodes it alone exactly as the unmemoized path does.
+  DEEPST_CHECK_EQ(tensors.size(), 1u);
+  const nn::Tensor& traffic = *tensors[0];
+  const nn::infer::MemoKey key = nn::infer::HashBytesKey(
+      traffic.data(), static_cast<size_t>(traffic.numel()) * sizeof(float),
+      nn::infer::MemoKey());
+  // The epoch is pinned before encoding, so a posterior computed from
+  // weights that a concurrent retirement replaced is never served.
+  const uint64_t epoch = posterior_memo_->current_epoch();
+  nn::Tensor mu({1, config_.traffic_dim});
+  nn::Tensor logvar({1, config_.traffic_dim});
+  float* const logvar_out[] = {logvar.data()};
+  if (posterior_memo_->Lookup(key, epoch, mu.data(), logvar_out)) {
+    return {nn::Constant(std::move(mu)), nn::Constant(std::move(logvar))};
+  }
+  TrafficPosterior post =
+      traffic_encoder_->Encode(tensors, /*training=*/false);
+  const float* const logvar_in[] = {post.logvar->value().data()};
+  posterior_memo_->Insert(key, epoch, post.mu->value().data(), logvar_in);
+  return post;
 }
 
 nn::VarPtr DeepSTModel::Loss(const std::vector<const traj::Trip*>& batch,
@@ -490,7 +538,7 @@ PredictionContext DeepSTModel::MakeContextImpl(
   std::vector<const traj::Trip*> batch = {&probe};
   BatchContext ctx =
       MakeBatchContext(batch, rng, /*training=*/false, nullptr, nullptr,
-                       traffic_cache, overlay);
+                       traffic_cache, overlay, /*memoize_posterior=*/true);
 
   PredictionContext out;
   out.destination = query.destination;

@@ -263,6 +263,10 @@ class DeepSTModel : public nn::Module {
   // Counter snapshot (zeros with epoch/capacity 0 when disabled); surfaced
   // through ServeMetrics and `deepst serve` stats.
   nn::infer::MemoStats transition_memo_stats() const;
+  // Counters of the traffic posterior memo (docs/inference.md, "Traffic
+  // posterior memo"): on exactly when the transition memo is and the model
+  // reads traffic; zeros with capacity 0 otherwise.
+  nn::infer::MemoStats traffic_posterior_memo_stats() const;
   // Wholesale memo invalidation: call after mutating weights in place or
   // swapping the traffic snapshot wiring. O(1) epoch bump; queries already
   // in flight keep the epoch they pinned at context-preparation time.
@@ -283,9 +287,12 @@ class DeepSTModel : public nn::Module {
 
   // Retires the session pool: pooled sessions are destroyed now, and every
   // session currently leased out is dropped instead of re-pooled when its
-  // lease ends. The serve watchdog calls this to recycle scratch state a
-  // hung or fault-poisoned worker may have left behind, without touching
-  // the threads themselves; subsequent calls build fresh sessions on demand.
+  // lease ends. Also drops every piece of inference state derived from the
+  // weights (packed weights, both memos). The serve watchdog calls this to
+  // recycle scratch state a hung or fault-poisoned worker may have left
+  // behind, without touching the threads themselves, and Trainer::Fit calls
+  // it once the weights are final; subsequent calls build fresh sessions on
+  // demand.
   void RetirePooledSessions();
   // Sessions currently leased out (zero once a drain completes; the chaos
   // soak asserts no lease is ever leaked).
@@ -315,7 +322,9 @@ class DeepSTModel : public nn::Module {
   };
   // `traffic_cache` overrides the construction-time cache (pinned snapshot
   // serving); `overlay` applies a what-if edit to a copy of each unique
-  // traffic tensor. Training passes neither.
+  // traffic tensor. Training passes neither. `memoize_posterior` (set by
+  // MakeContextImpl only, so Loss never touches the memo in training or
+  // validation) reads the traffic posterior through posterior_memo_.
   BatchContext MakeBatchContext(const std::vector<const traj::Trip*>& batch,
                                 util::Rng* rng, bool training,
                                 std::vector<nn::VarPtr>* extra_loss_terms,
@@ -323,7 +332,12 @@ class DeepSTModel : public nn::Module {
                                 traffic::TrafficTensorCache* traffic_cache =
                                     nullptr,
                                 const traffic::TrafficOverlay* overlay =
-                                    nullptr);
+                                    nullptr,
+                                bool memoize_posterior = false);
+  // Evaluation-mode posterior of the single tensor in `tensors`, from the
+  // memo when it holds those exact bytes, else encoded and inserted.
+  TrafficPosterior MemoizedPosterior(
+      const std::vector<const nn::Tensor*>& tensors);
   // MakeContext body parameterized on the snapshot source and overlay; the
   // public overloads delegate here.
   PredictionContext MakeContextImpl(const RouteQuery& query, util::Rng* rng,
@@ -365,6 +379,10 @@ class DeepSTModel : public nn::Module {
   mutable std::mutex weights_mu_;
   mutable std::shared_ptr<const infer::SharedInferWeights> shared_weights_;
   std::unique_ptr<nn::infer::TransitionMemoCache> memo_;
+  // MakeContext's traffic posterior (mu, logvar) keyed by the bytes of the
+  // input tensor; invalidated on retirement. Null when memo_ is, or when
+  // the model reads no traffic.
+  std::unique_ptr<nn::infer::TransitionMemoCache> posterior_memo_;
 };
 
 // Log-probability of transitioning into neighbor slot `slot`, normalized

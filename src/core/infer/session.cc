@@ -16,6 +16,14 @@ using roadnet::SegmentId;
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// Loop guard of Algorithm 2: generation never re-enters a segment already on
+// the route being generated. The route holds exactly that set, in at most
+// max_route_steps + 1 entries, so a scan costs O(route) per candidate slot
+// and a hypothesis needs no O(num_segments) visited bitmap.
+bool OnRoute(const traj::Route& route, SegmentId segment) {
+  return std::find(route.begin(), route.end(), segment) != route.end();
+}
 }  // namespace
 
 double InferenceSession::Hyp::Score() const {
@@ -32,11 +40,6 @@ std::shared_ptr<const SharedInferWeights> SharedInferWeights::Build(
   const nn::Tensor& aw = model.alpha_layer().weight();
   w->alpha_w = nn::infer::PackedMatrix::Pack(aw.data(), aw.dim(0), aw.dim(1),
                                              aw.dim(1), w->precision);
-  // The embedding table is gathered (one row copy per token), never
-  // multiplied, so it stays exact double in every precision mode.
-  const nn::Tensor& emb = model.segment_embedding().table()->value();
-  w->emb_table_d.resize(static_cast<size_t>(emb.numel()));
-  nn::infer::ToDouble(emb.data(), w->emb_table_d.data(), emb.numel());
   // K-major panel sidecars for the blocked GEMM path: batched (beam /
   // multi-query) GEMVs route through the register-blocked micro-kernels
   // whenever panels are present. Built once here, shared like the rest of
@@ -66,7 +69,7 @@ InferenceSession::InferenceSession(const DeepSTModel* model)
       config_(model->config()),
       weights_shared_(model->shared_infer_weights()),
       gru_(weights_shared_->gru),
-      emb_table_d_(weights_shared_->emb_table_d),
+      emb_table_(&model->segment_embedding().table()->value()),
       alpha_w_(weights_shared_->alpha_w),
       alpha_b_(model->alpha_layer().bias()),
       emb_dim_(model->segment_embedding().dim()),
@@ -76,21 +79,19 @@ InferenceSession::InferenceSession(const DeepSTModel* model)
   state_ptrs_.resize(static_cast<size_t>(gru_.num_layers()), nullptr);
   dstate_.resize(static_cast<size_t>(gru_.num_layers()));
   dgather_.resize(static_cast<size_t>(gru_.num_layers()));
+  ranked_.reserve(static_cast<size_t>(nmax_));
   // Fixed-capacity hypothesis pools: one beam step produces at most
   // width carried-over hypotheses plus width expansions per active beam.
+  // Nothing here scales with the network: a hypothesis is its route.
   const int width = std::max(config_.beam_width, 1);
-  const size_t nseg = static_cast<size_t>(net_.num_segments());
-  const size_t route_cap = static_cast<size_t>(config_.max_route_steps) + 2;
   beams_.resize(static_cast<size_t>(width));
   pool_.resize(static_cast<size_t>(width) * static_cast<size_t>(width + 1));
-  for (Hyp& h : beams_) {
-    h.route.reserve(route_cap);
-    h.visited.resize(nseg, 0);
-  }
-  for (Hyp& h : pool_) {
-    h.route.reserve(route_cap);
-    h.visited.resize(nseg, 0);
-  }
+  for (Hyp& h : beams_) h.route.reserve(RouteCapacity());
+  for (Hyp& h : pool_) h.route.reserve(RouteCapacity());
+}
+
+size_t InferenceSession::RouteCapacity() const {
+  return static_cast<size_t>(config_.max_route_steps) + 2;
 }
 
 nn::infer::MemoKey InferenceSession::ContextKey(
@@ -157,7 +158,7 @@ void InferenceSession::PrepareContext(const PredictionContext& ctx) {
   // precision mode (w_ih_ctx), so this fold never carries quantization
   // error into all downstream steps.
   const int64_t h3 = 3 * cell0.hidden_dim;
-  nn::Tensor* ctx_ih = arena_.Acquire(kCtxIh, {1, h3});
+  nn::Tensor* ctx_ih = arena_.Acquire(kCtxIh, 1, h3);
   nn::infer::LinearForward(ctxd_.data(), ctx_dim, cell0.w_ih_ctx.data(),
                            ctx_dim, cell0.b_ih->data(), nullptr,
                            ctx_ih->data(), 1, ctx_dim, h3);
@@ -167,7 +168,7 @@ void InferenceSession::PrepareContext(const PredictionContext& ctx) {
     ctx_key_ = ContextKey(ctx);
   }
   // alpha bias + additive context logit terms, one row.
-  nn::Tensor* lb = arena_.Acquire(kLogitBias, {1, nmax_});
+  nn::Tensor* lb = arena_.Acquire(kLogitBias, 1, nmax_);
   const float* ab = alpha_b_ != nullptr ? alpha_b_->data() : nullptr;
   const float* dt = ctx.has_dest ? ctx.dest_term.data() : nullptr;
   const float* tt = ctx.has_traffic ? ctx.traffic_term.data() : nullptr;
@@ -185,8 +186,8 @@ void InferenceSession::PrepareContexts(
   const int64_t q_count = static_cast<int64_t>(ctxs.size());
   const nn::infer::GruCellView& cell0 = gru_.cells[0];
   const int64_t h3 = 3 * cell0.hidden_dim;
-  nn::Tensor* ctx_ih = arena_.Acquire(kCtxIh, {q_count, h3});
-  nn::Tensor* lb = arena_.Acquire(kLogitBias, {q_count, nmax_});
+  nn::Tensor* ctx_ih = arena_.Acquire(kCtxIh, q_count, h3);
+  nn::Tensor* lb = arena_.Acquire(kLogitBias, q_count, nmax_);
   const float* ab = alpha_b_ != nullptr ? alpha_b_->data() : nullptr;
   if (memo_ != nullptr) {
     // One pinned epoch for the whole coalesced batch; per-query context
@@ -246,12 +247,29 @@ void InferenceSession::EnsureStepScratch(int64_t batch) {
   }
 }
 
-void InferenceSession::EnsureGatherScratch(int64_t rows) {
-  const size_t need = static_cast<size_t>(rows * gru_.hidden_dim);
-  for (std::vector<double>& d : dgather_) {
-    if (d.size() < need) {
-      d.resize(need);
+void InferenceSession::ResetBeamScratch(int64_t rows) {
+  const int64_t hd = gru_.hidden_dim;
+  EnsureStepScratch(rows);
+  arena_.Acquire(kGi, rows, 3 * hd);
+  arena_.Acquire(kGh, rows, 3 * hd);
+  arena_.Acquire(kLogits, rows, nmax_);
+  const size_t gather_need = static_cast<size_t>(rows * hd);
+  for (int l = 0; l < gru_.num_layers(); ++l) {
+    arena_.Acquire(StateSlotIndex(l), rows, hd);
+    arena_.Acquire(GatherSlotIndex(l), rows, hd)->Fill(0.0f);
+    std::vector<double>& dg = dgather_[static_cast<size_t>(l)];
+    if (dg.size() < gather_need) {
+      dg.resize(gather_need);
       ++scratch_grow_count_;
+    }
+    std::fill_n(dg.data(), gather_need, 0.0);
+  }
+  if (memo_ != nullptr) {
+    // Hit staging: a probe that hits writes the cached logits/state into
+    // the hypothesis' own row and skips the step.
+    arena_.Acquire(kHitLogits, rows, nmax_);
+    for (int l = 0; l < gru_.num_layers(); ++l) {
+      arena_.Acquire(HitSlotIndex(l), rows, hd);
     }
   }
 }
@@ -260,7 +278,7 @@ void InferenceSession::ResetState(int64_t batch) {
   EnsureStepScratch(batch);
   const size_t n = static_cast<size_t>(batch * gru_.hidden_dim);
   for (int l = 0; l < gru_.num_layers(); ++l) {
-    arena_.Acquire(StateSlotIndex(l), {batch, gru_.hidden_dim})->Fill(0.0f);
+    arena_.Acquire(StateSlotIndex(l), batch, gru_.hidden_dim)->Fill(0.0f);
     std::fill_n(dstate_[static_cast<size_t>(l)].data(), n, 0.0);
   }
 }
@@ -277,12 +295,12 @@ void InferenceSession::StepBatch(const int* tokens, int64_t batch,
   const int64_t h3 = 3 * hd;
   DEEPST_DCHECK(embd_.size() >= static_cast<size_t>(batch * emb_dim_));
   for (int64_t b = 0; b < batch; ++b) {
-    std::copy_n(
-        emb_table_d_.data() + static_cast<int64_t>(tokens[b]) * emb_dim_,
-        emb_dim_, embd_.data() + b * emb_dim_);
+    nn::infer::ToDouble(
+        emb_table_->data() + static_cast<int64_t>(tokens[b]) * emb_dim_,
+        embd_.data() + b * emb_dim_, emb_dim_);
   }
-  nn::Tensor* gi = arena_.Acquire(kGi, {batch, h3});
-  nn::Tensor* gh = arena_.Acquire(kGh, {batch, h3});
+  nn::Tensor* gi = arena_.Acquire(kGi, batch, h3);
+  nn::Tensor* gh = arena_.Acquire(kGh, batch, h3);
   nn::Tensor* h0 = StateSlot(0);
   nn::infer::GemvForward(embd_.data(), emb_dim_, cell0.w_ih,
                          arena_.Get(kCtxIh)->data(), nullptr, gi->data(),
@@ -305,7 +323,7 @@ void InferenceSession::StepBatch(const int* tokens, int64_t batch,
                         batch * hd);
   }
   if (want_logits) {
-    nn::Tensor* logits = arena_.Acquire(kLogits, {batch, nmax_});
+    nn::Tensor* logits = arena_.Acquire(kLogits, batch, nmax_);
     nn::infer::GemvForward(
         dstate_[static_cast<size_t>(gru_.num_layers() - 1)].data(), hd,
         alpha_w_, arena_.Get(kLogitBias)->data(), nullptr, logits->data(),
@@ -324,12 +342,12 @@ void InferenceSession::StepBatchMulti(const int* tokens, const int* row_ctx,
   const int64_t h3 = 3 * hd;
   DEEPST_DCHECK(embd_.size() >= static_cast<size_t>(batch * emb_dim_));
   for (int64_t b = 0; b < batch; ++b) {
-    std::copy_n(
-        emb_table_d_.data() + static_cast<int64_t>(tokens[b]) * emb_dim_,
-        emb_dim_, embd_.data() + b * emb_dim_);
+    nn::infer::ToDouble(
+        emb_table_->data() + static_cast<int64_t>(tokens[b]) * emb_dim_,
+        embd_.data() + b * emb_dim_, emb_dim_);
   }
-  nn::Tensor* gi = arena_.Acquire(kGi, {batch, h3});
-  nn::Tensor* gh = arena_.Acquire(kGh, {batch, h3});
+  nn::Tensor* gi = arena_.Acquire(kGi, batch, h3);
+  nn::Tensor* gh = arena_.Acquire(kGh, batch, h3);
   nn::Tensor* h0 = StateSlot(0);
   nn::infer::GemvForwardRowBias(embd_.data(), emb_dim_, cell0.w_ih,
                                 arena_.Get(kCtxIh)->data(), nullptr, row_ctx,
@@ -352,7 +370,7 @@ void InferenceSession::StepBatchMulti(const int* tokens, const int* row_ctx,
                         batch * hd);
   }
   if (want_logits) {
-    nn::Tensor* logits = arena_.Acquire(kLogits, {batch, nmax_});
+    nn::Tensor* logits = arena_.Acquire(kLogits, batch, nmax_);
     nn::infer::GemvForwardRowBias(
         dstate_[static_cast<size_t>(gru_.num_layers() - 1)].data(), hd,
         alpha_w_, arena_.Get(kLogitBias)->data(), nullptr, row_ctx,
@@ -369,10 +387,8 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
   PrepareContext(ctx);
   ResetState(1);
   traj::Route route;
-  route.reserve(static_cast<size_t>(config_.max_route_steps) + 2);
+  route.reserve(RouteCapacity());
   route.push_back(origin);
-  visited_.assign(static_cast<size_t>(net_.num_segments()), 0);
-  visited_[static_cast<size_t>(origin)] = 1;
   SegmentId cur = origin;
   // Memo key chain: ctx signature mixed with every token fed so far. A hit
   // replays the cached logits and post-step state bitwise, so the rest of
@@ -384,7 +400,7 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
     const int token = static_cast<int>(cur);
     if (memo_ != nullptr) {
       key = nn::infer::MixKey(key, static_cast<uint64_t>(token));
-      nn::Tensor* lt = arena_.Acquire(kLogits, {1, nmax_});
+      nn::Tensor* lt = arena_.Acquire(kLogits, 1, nmax_);
       if (!memo_->Lookup(key, memo_epoch_, lt->data(), BatchStatePtrs(0))) {
         StepBatch(&token, 1, /*want_logits=*/true);
         memo_->Insert(key, memo_epoch_, arena_.Get(kLogits)->data(),
@@ -405,9 +421,7 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
     int best = -1;
     if (config_.map_prediction) {
       for (int s = 0; s < static_cast<int>(outs.size()); ++s) {
-        if (visited_[static_cast<size_t>(outs[static_cast<size_t>(s)])]) {
-          continue;
-        }
+        if (OnRoute(route, outs[static_cast<size_t>(s)])) continue;
         if (best < 0 || lv[s] > lv[best]) best = s;
       }
     } else {
@@ -415,13 +429,13 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
       double mx = -1e30;
       bool any = false;
       for (size_t s = 0; s < outs.size(); ++s) {
-        if (visited_[static_cast<size_t>(outs[s])]) continue;
+        if (OnRoute(route, outs[s])) continue;
         mx = std::max(mx, static_cast<double>(lv[s]));
         any = true;
       }
       if (any) {
         for (size_t s = 0; s < outs.size(); ++s) {
-          if (visited_[static_cast<size_t>(outs[s])]) continue;
+          if (OnRoute(route, outs[s])) continue;
           weights_[s] = std::exp(lv[s] - mx);
         }
         best = rng->Categorical(weights_);
@@ -430,7 +444,6 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
     if (best < 0) break;  // boxed in by visited segments
     const SegmentId next = outs[static_cast<size_t>(best)];
     route.push_back(next);
-    visited_[static_cast<size_t>(next)] = 1;
     if (ShouldStop(net_, ctx.destination, next, config_, rng)) break;
     cur = next;
   }
@@ -439,7 +452,6 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
 
 void InferenceSession::CopyHyp(const Hyp& src, Hyp* dst) {
   dst->route.assign(src.route.begin(), src.route.end());
-  dst->visited.assign(src.visited.begin(), src.visited.end());
   dst->log_prob = src.log_prob;
   dst->done = src.done;
   dst->src_row = src.src_row;
@@ -460,28 +472,12 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
   Hyp& root = beams_[0];
   root.route.clear();
   root.route.push_back(origin);
-  std::fill(root.visited.begin(), root.visited.end(), 0);
-  root.visited[static_cast<size_t>(origin)] = 1;
   root.log_prob = 0.0;
   root.done = false;
   root.src_row = -1;
   root.hit_src = -1;
   root.key = ctx_key_;
-  EnsureStepScratch(width);
-  EnsureGatherScratch(width);
-  for (int l = 0; l < gru_.num_layers(); ++l) {
-    arena_.Acquire(GatherSlotIndex(l), {1, hd})->Fill(0.0f);
-    std::fill_n(dgather_[static_cast<size_t>(l)].data(),
-                static_cast<size_t>(hd), 0.0);
-  }
-  if (memo_ != nullptr) {
-    // Hit staging at full width, once per call: a probe that hits writes the
-    // cached logits/state into row i (its beam index) and skips the step.
-    arena_.Acquire(kHitLogits, {width, nmax_});
-    for (int l = 0; l < gru_.num_layers(); ++l) {
-      arena_.Acquire(HitSlotIndex(l), {width, hd});
-    }
-  }
+  ResetBeamScratch(width);  // hit staging row i = beam index i
   int num_beams = 1;
 
   for (int step = 0; step < config_.max_route_steps; ++step) {
@@ -515,7 +511,7 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
     const bool any_expand = active > 0 || any_hit;
     if (active > 0) {
       for (int l = 0; l < gru_.num_layers(); ++l) {
-        nn::Tensor* st = arena_.Acquire(StateSlotIndex(l), {active, hd});
+        nn::Tensor* st = arena_.Acquire(StateSlotIndex(l), active, hd);
         const nn::Tensor* bs = GatherSlot(l);
         const double* bd = dgather_[static_cast<size_t>(l)].data();
         double* sd = dstate_[static_cast<size_t>(l)].data();
@@ -575,9 +571,7 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
       const int deg = static_cast<int>(outs.size());
       ranked_.clear();
       for (int s = 0; s < deg; ++s) {
-        if (beam.visited[static_cast<size_t>(outs[static_cast<size_t>(s)])]) {
-          continue;
-        }
+        if (OnRoute(beam.route, outs[static_cast<size_t>(s)])) continue;
         ranked_.emplace_back(ValidSlotLogProb(lrow, deg, s), s);
       }
       if (ranked_.empty()) {  // boxed in: terminate this hypothesis
@@ -602,7 +596,6 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
         const SegmentId seg =
             outs[static_cast<size_t>(ranked_[static_cast<size_t>(e)].second)];
         nxt.route.push_back(seg);
-        nxt.visited[static_cast<size_t>(seg)] = 1;
         nxt.done = ShouldStop(net_, ctx.destination, seg, config_, rng);
       }
     }
@@ -617,7 +610,7 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
     });
     const int keep = std::min<int>(width, static_cast<int>(pool_size_));
     for (int l = 0; l < gru_.num_layers(); ++l) {
-      arena_.Acquire(GatherSlotIndex(l), {keep, hd});
+      arena_.Acquire(GatherSlotIndex(l), keep, hd);
     }
     for (int w = 0; w < keep; ++w) {
       const Hyp& src = pool_[static_cast<size_t>(pool_order_[w])];
@@ -685,24 +678,23 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
 
 void InferenceSession::EnsureQueryBeams(size_t count) {
   if (query_beams_.size() >= count) return;
-  const int width = std::max(config_.beam_width, 1);
-  const size_t nseg = static_cast<size_t>(net_.num_segments());
-  const size_t route_cap = static_cast<size_t>(config_.max_route_steps) + 2;
+  const size_t width = static_cast<size_t>(std::max(config_.beam_width, 1));
   const size_t old = query_beams_.size();
   query_beams_.resize(count);
   for (size_t q = old; q < count; ++q) {
     QueryBeam& qb = query_beams_[q];
-    qb.beams.resize(static_cast<size_t>(width));
-    qb.pool.resize(static_cast<size_t>(width) * static_cast<size_t>(width + 1));
-    for (Hyp& h : qb.beams) {
-      h.route.reserve(route_cap);
-      h.visited.resize(nseg, 0);
-    }
-    for (Hyp& h : qb.pool) {
-      h.route.reserve(route_cap);
-      h.visited.resize(nseg, 0);
-    }
+    qb.beams.resize(width);
+    qb.pool.resize(width * (width + 1));
+    for (Hyp& h : qb.beams) h.route.reserve(RouteCapacity());
+    for (Hyp& h : qb.pool) h.route.reserve(RouteCapacity());
+    qb.pool_order.reserve(width * (width + 1));
+    qb.active_row.reserve(width);
+    qb.hit_row.reserve(width);
   }
+  // Batch-row scratch at its largest (every hypothesis of every query
+  // stepped at once), so no step of any call at this batch size grows it.
+  tokens_.reserve(count * width);
+  row_ctx_.reserve(count * width);
 }
 
 void InferenceSession::FinalizeQuery(const QueryBeam& qb, PredictItem* item) {
@@ -740,28 +732,14 @@ void InferenceSession::PredictRoutesBeamMulti(
   }
   PrepareContexts(ctx_ptrs_);
   EnsureQueryBeams(static_cast<size_t>(q_count));
-  EnsureStepScratch(q_count * width);
-  EnsureGatherScratch(q_count * width);
-  for (int l = 0; l < gru_.num_layers(); ++l) {
-    arena_.Acquire(GatherSlotIndex(l), {q_count * width, hd})->Fill(0.0f);
-    std::fill_n(dgather_[static_cast<size_t>(l)].data(),
-                static_cast<size_t>(q_count * width * hd), 0.0);
-  }
-  if (memo_ != nullptr) {
-    // Hit staging row for (query q, beam i) is q*width + i.
-    arena_.Acquire(kHitLogits, {q_count * width, nmax_});
-    for (int l = 0; l < gru_.num_layers(); ++l) {
-      arena_.Acquire(HitSlotIndex(l), {q_count * width, hd});
-    }
-  }
+  // Gather and hit staging row for (query q, beam i) is q*width + i.
+  ResetBeamScratch(q_count * width);
   for (int64_t q = 0; q < q_count; ++q) {
     QueryBeam& qb = query_beams_[static_cast<size_t>(q)];
     const SegmentId origin = (*items)[static_cast<size_t>(q)].origin;
     Hyp& root = qb.beams[0];
     root.route.clear();
     root.route.push_back(origin);
-    std::fill(root.visited.begin(), root.visited.end(), 0);
-    root.visited[static_cast<size_t>(origin)] = 1;
     root.log_prob = 0.0;
     root.done = false;
     root.src_row = -1;
@@ -807,7 +785,7 @@ void InferenceSession::PredictRoutesBeamMulti(
     const int64_t active = static_cast<int64_t>(tokens_.size());
     if (active > 0) {
       for (int l = 0; l < gru_.num_layers(); ++l) {
-        nn::Tensor* st = arena_.Acquire(StateSlotIndex(l), {active, hd});
+        nn::Tensor* st = arena_.Acquire(StateSlotIndex(l), active, hd);
         const nn::Tensor* bs = GatherSlot(l);
         const double* bd = dgather_[static_cast<size_t>(l)].data();
         double* sd = dstate_[static_cast<size_t>(l)].data();
@@ -882,10 +860,7 @@ void InferenceSession::PredictRoutesBeamMulti(
         const int deg = static_cast<int>(outs.size());
         ranked_.clear();
         for (int s = 0; s < deg; ++s) {
-          if (beam.visited[static_cast<size_t>(
-                  outs[static_cast<size_t>(s)])]) {
-            continue;
-          }
+          if (OnRoute(beam.route, outs[static_cast<size_t>(s)])) continue;
           ranked_.emplace_back(ValidSlotLogProb(lrow, deg, s), s);
         }
         if (ranked_.empty()) {
@@ -910,7 +885,6 @@ void InferenceSession::PredictRoutesBeamMulti(
           const SegmentId seg = outs[static_cast<size_t>(
               ranked_[static_cast<size_t>(e)].second)];
           nxt.route.push_back(seg);
-          nxt.visited[static_cast<size_t>(seg)] = 1;
           nxt.done = ShouldStop(net_, item.ctx->destination, seg, config_,
                                 /*rng=*/nullptr);
         }
@@ -1175,9 +1149,9 @@ std::vector<double> InferenceSession::ScoreContinuations(
   const int64_t hd = gru_.hidden_dim;
   EnsureStepScratch(batch);
   for (int l = 0; l < gru_.num_layers(); ++l) {
-    nn::Tensor* warm = arena_.Acquire(GatherSlotIndex(l), {1, hd});
+    nn::Tensor* warm = arena_.Acquire(GatherSlotIndex(l), 1, hd);
     std::copy_n(StateSlot(l)->data(), hd, warm->data());
-    nn::Tensor* st = arena_.Acquire(StateSlotIndex(l), {batch, hd});
+    nn::Tensor* st = arena_.Acquire(StateSlotIndex(l), batch, hd);
     double* sd = dstate_[static_cast<size_t>(l)].data();
     for (int64_t b = 0; b < batch; ++b) {
       std::copy_n(warm->data(), hd, st->data() + b * hd);

@@ -17,14 +17,15 @@ namespace infer {
 // Model weights packed once for the GEMV fast path and shared read-only by
 // every pooled session (packing happens at most once per model generation,
 // not per session — "pack at pool construction"). Built at the model's
-// config.infer_precision; the embedding table stays double in every mode
-// (it is gathered, not multiplied). Biases are read through tensor pointers
-// into the model, which must outlive the view.
+// config.infer_precision. The embedding table is not packed: it is gathered,
+// not multiplied, so each step widens the rows it needs straight from the
+// model's float table (exactly, in every precision mode) instead of keeping
+// an O(num_segments) double copy. That table and the biases are read
+// through tensor pointers into the model, which must outlive the view.
 struct SharedInferWeights {
   nn::infer::Precision precision = nn::infer::Precision::kDouble;
   nn::infer::GruStackView gru;
   nn::infer::PackedMatrix alpha_w;   // [N_max, H]
-  std::vector<double> emb_table_d;   // [V, emb_dim]
   size_t packed_weight_bytes = 0;    // GEMV operand bytes at this precision
   // Bytes of the K-major panel sidecars built for the blocked GEMM path
   // (config.gemm_blocking; 0 when off). Panels duplicate the full blocks of
@@ -38,17 +39,21 @@ struct SharedInferWeights {
 
 // Graph-free inference engine for one DeepSTModel. A session owns every
 // scratch buffer the generation and scoring loops need (a nn::infer::Arena
-// plus preallocated hypothesis pools), so after warmup a call performs zero
-// heap allocation. Sessions are NOT thread-safe; DeepSTModel keeps a
-// mutex-guarded pool of them and leases one per call, which is what makes
-// the public model API safe under EvaluatePredictionParallel.
+// plus fixed-capacity hypothesis pools whose size depends on the beam width
+// and max_route_steps, never on the network), so after warmup a call makes
+// no heap allocation beyond the result it returns. Sessions are NOT
+// thread-safe; DeepSTModel keeps a mutex-guarded pool of them and leases
+// one per call, which is what makes the public model API safe under
+// EvaluatePredictionParallel.
 //
 // Semantics mirror the model's *Reference methods exactly: the same valid-
 // slot renormalization, visit guards, beam bookkeeping and ShouldStop rng
-// call order. Numerics differ from the reference only through the forward
-// kernels' 4-lane accumulation (~1e-7 per logit, parity-tested at 1e-5);
-// the fast path itself is bitwise identical for every thread count and for
-// batched vs one-at-a-time scoring.
+// call order. The visit guard scans the hypothesis' own route (which holds
+// exactly the visited set) where the reference keeps a per-segment bitmap.
+// Numerics differ from the reference only through the forward kernels'
+// 8-lane accumulation (~1e-7 per logit, parity-tested at 1e-5); the fast
+// path itself is bitwise identical for every thread count and for batched
+// vs one-at-a-time scoring.
 //
 // Per-query precomputation (PrepareContext): the GRU input is
 // [token_embedding, dest_repr, traffic_repr] where the context part is
@@ -161,10 +166,17 @@ class InferenceSession {
   void ResetState(int64_t batch);
   // Grow-only reservation of the step scratch (embd_ / dstate_) for up to
   // `batch` rows; called once per public call at the max batch so StepBatch
-  // never reallocates. EnsureGatherScratch is the beam-path counterpart for
-  // the gather mirrors (rows = queries x width).
+  // never reallocates.
   void EnsureStepScratch(int64_t batch);
-  void EnsureGatherScratch(int64_t rows);
+  // Beam-path setup for `rows` = queries x width hypotheses: sizes every
+  // per-step slot, the gather rows and their double mirrors, and the memo-
+  // hit staging for all rows at once, and zeroes the gather rows the roots
+  // start from. Beam steps batch a varying number of live hypotheses;
+  // sizing for the most up front keeps the storage independent of the order
+  // in which step sizes arrive, so no step grows anything.
+  void ResetBeamScratch(int64_t rows);
+  // Route storage reserved per hypothesis: origin + max_route_steps + 1.
+  size_t RouteCapacity() const;
   // One batched GRU step: reads tokens, updates the state slots in place
   // and (when `want_logits`) fills kLogits with [batch, N_max] rows.
   void StepBatch(const int* tokens, int64_t batch, bool want_logits);
@@ -174,10 +186,10 @@ class InferenceSession {
   void StepBatchMulti(const int* tokens, const int* row_ctx, int64_t batch,
                       bool want_logits);
 
-  // One beam-search hypothesis; fixed-capacity, reused across calls.
+  // One beam-search hypothesis; fixed-capacity, reused across calls. The
+  // route doubles as the loop guard's visited set (see OnRoute).
   struct Hyp {
     traj::Route route;
-    std::vector<uint8_t> visited;  // by SegmentId
     double log_prob = 0.0;
     bool done = false;
     int src_row = -1;  // row in the stepped batch this hyp's state lives in
@@ -232,7 +244,7 @@ class InferenceSession {
   // SharedInferWeights); the references below alias *weights_.
   std::shared_ptr<const SharedInferWeights> weights_shared_;
   const nn::infer::GruStackView& gru_;
-  const std::vector<double>& emb_table_d_;   // [V, emb_dim]
+  const nn::Tensor* emb_table_;              // [V, emb_dim] float, in place
   const nn::infer::PackedMatrix& alpha_w_;   // [N_max, H]
   const nn::Tensor* alpha_b_;                // [N_max]
   int64_t emb_dim_;
@@ -256,7 +268,7 @@ class InferenceSession {
   // operand — and dgather_[l] mirrors GatherSlot(l) the same way through
   // the beam keep phase (double->double row copies are exact, so the
   // mirrors carry the same values ToDouble would produce). Grow-only via
-  // EnsureStepScratch / EnsureGatherScratch.
+  // EnsureStepScratch / ResetBeamScratch.
   std::vector<double> embd_;                  // [B, emb_dim]
   std::vector<std::vector<double>> dstate_;   // per layer: [B, H]
   std::vector<std::vector<double>> dgather_;  // per layer: [rows, H]
@@ -272,7 +284,6 @@ class InferenceSession {
   std::vector<int> tokens_;
   std::vector<int> active_row_;            // beam index -> batch row or -1
   std::vector<double> weights_;            // sampled-prediction scratch
-  std::vector<uint8_t> visited_;           // greedy-path loop guard
   std::vector<const traj::Route*> rows_;   // batched-scoring row set
   std::vector<int> row_index_;             // batch row -> caller index
   std::vector<double> batch_out_;

@@ -200,6 +200,12 @@ TrainResult Trainer::Fit(
     const std::vector<const traj::TripRecord*>& train,
     const std::vector<const traj::TripRecord*>& validation) {
   DEEPST_CHECK(!train.empty());
+  // However Fit returns, no inference state derived from the weights it
+  // found (packed weights, transition and posterior memos) may outlive it.
+  struct RetireOnExit {
+    DeepSTModel* model;
+    ~RetireOnExit() { model->RetirePooledSessions(); }
+  } retire_on_exit{model_};
   nn::ScopedBackendThreads scoped_threads(config_.num_threads);
   util::Rng rng(config_.seed);
   nn::Adam optimizer(model_->Parameters(), config_.learning_rate);

@@ -122,7 +122,9 @@ struct TrainResult {
 // Minibatch SGD driver for DeepSTModel (Algorithm 1). Trips are bucketed by
 // route length to limit padding waste (once, up front), and batch order is
 // shuffled per epoch. After Fit returns, the model holds the parameters of
-// the best-validation epoch (not the last epoch's).
+// the best-validation epoch (not the last epoch's), and its next prediction
+// rebuilds every piece of inference state from them (Fit ends with
+// DeepSTModel::RetirePooledSessions).
 class Trainer {
  public:
   Trainer(DeepSTModel* model, const TrainerConfig& config);

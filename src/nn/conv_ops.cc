@@ -175,8 +175,14 @@ VarPtr BatchNorm2d(const VarPtr& x, const VarPtr& gamma, const VarPtr& beta,
         const Tensor& g = node->grad();
         const auto& ps = node->parents();
         const Tensor& gv = ps[1]->value();
-        // d_beta, d_gamma.
+        // d_beta, d_gamma. The gradient tensors are resolved before the
+        // per-channel loop: the first grad() call allocates and zero-fills
+        // the storage, which must not happen concurrently in the workers.
         if (ps[1]->requires_grad() || ps[2]->requires_grad()) {
+          float* dgamma =
+              ps[1]->requires_grad() ? ps[1]->grad().data() : nullptr;
+          float* dbeta =
+              ps[2]->requires_grad() ? ps[2]->grad().data() : nullptr;
           kernels::HeavyLoop(ch, [&](int64_t c) {
             double dg = 0.0, db = 0.0;
             for (int64_t n = 0; n < batch; ++n) {
@@ -187,12 +193,8 @@ VarPtr BatchNorm2d(const VarPtr& x, const VarPtr& gamma, const VarPtr& beta,
                 db += gp[i];
               }
             }
-            if (ps[1]->requires_grad()) {
-              ps[1]->grad()[c] += static_cast<float>(dg);
-            }
-            if (ps[2]->requires_grad()) {
-              ps[2]->grad()[c] += static_cast<float>(db);
-            }
+            if (dgamma != nullptr) dgamma[c] += static_cast<float>(dg);
+            if (dbeta != nullptr) dbeta[c] += static_cast<float>(db);
           });
         }
         if (!ps[0]->requires_grad()) return;

@@ -216,10 +216,11 @@ class Arena {
  public:
   explicit Arena(int num_slots) : slots_(static_cast<size_t>(num_slots)) {}
 
-  // Returns the slot's tensor re-shaped to `shape` (contents unspecified).
-  Tensor* Acquire(int slot, std::vector<int64_t> shape) {
+  // Returns the slot's tensor re-shaped in place to [rows, cols] (contents
+  // unspecified). Allocates only when the slot's storage grows.
+  Tensor* Acquire(int slot, int64_t rows, int64_t cols) {
     Tensor* t = &slots_[static_cast<size_t>(slot)];
-    if (t->ResetShape(std::move(shape))) ++grow_count_;
+    if (t->ResetShape(rows, cols)) ++grow_count_;
     return t;
   }
   // Slot tensor with whatever shape it last had (for state that persists

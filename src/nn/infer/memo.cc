@@ -140,6 +140,12 @@ void TransitionMemoCache::Insert(const MemoKey& key, uint64_t epoch,
     }
   }
   Way& way = shard.ways[static_cast<size_t>(victim)];
+  if (epoch > shard.live_epoch) {
+    shard.live_epoch = epoch;
+    shard.live = 0;
+  }
+  if (way.epoch == shard.live_epoch) --shard.live;
+  if (epoch == shard.live_epoch) ++shard.live;
   way.key = key;
   way.epoch = epoch;
   way.tick = ++shard.tick;
@@ -156,6 +162,10 @@ MemoStats TransitionMemoCache::stats() const {
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
   s.epoch = epoch_.load(std::memory_order_acquire);
   s.capacity = sets_ * kWays * kShards;
+  for (int i = 0; i < kShards; ++i) {
+    std::lock_guard<std::mutex> lock(shards_[i].mu);
+    if (shards_[i].live_epoch == s.epoch) s.entries += shards_[i].live;
+  }
   return s;
 }
 

@@ -41,6 +41,7 @@ struct MemoStats {
   int64_t invalidations = 0;
   uint64_t epoch = 0;
   int64_t capacity = 0;  // entries (0 = cache disabled/absent)
+  int64_t entries = 0;   // entries of the current epoch, <= capacity
 };
 
 // Shared transition-distribution cache for the inference fast path: maps a
@@ -106,6 +107,10 @@ class TransitionMemoCache {
     std::vector<Way> ways;    // [sets * kWays]
     std::vector<float> data;  // [sets * kWays, entry_floats]
     uint64_t tick = 0;
+    // Number of ways holding live_epoch, the newest epoch inserted here;
+    // they are the shard's entries while live_epoch is the current epoch.
+    uint64_t live_epoch = 0;
+    int64_t live = 0;
   };
 
   Shard& ShardOf(const MemoKey& key) {

@@ -113,11 +113,14 @@ Tensor Tensor::Reshape(std::vector<int64_t> new_shape) const {
   return out;
 }
 
-bool Tensor::ResetShape(std::vector<int64_t> new_shape) {
-  const int64_t n = NumelOf(new_shape);
+bool Tensor::ResetShape(int64_t rows, int64_t cols) {
+  DEEPST_CHECK(rows >= 0 && cols >= 0);
+  const int64_t n = rows * cols;
   const bool grew = static_cast<size_t>(n) > data_.capacity();
   data_.resize(static_cast<size_t>(n));
-  shape_ = std::move(new_shape);
+  shape_.resize(2);
+  shape_[0] = rows;
+  shape_[1] = cols;
   return grew;
 }
 

@@ -74,16 +74,17 @@ class Tensor {
   // Returns a copy with a new shape of identical element count.
   Tensor Reshape(std::vector<int64_t> new_shape) const;
 
-  // Re-shapes this tensor in place to an arbitrary new shape, reusing the
-  // existing storage capacity (no allocation when the new element count fits
-  // in capacity). Contents are unspecified afterwards. Returns true when the
-  // storage had to grow — scratch arenas use this to verify they reach a
+  // Re-shapes this tensor in place to [rows, cols], reusing the existing
+  // storage and shape capacity (no allocation when the element count fits
+  // in capacity and the tensor already had two or more dimensions once).
+  // Contents are unspecified afterwards. Returns true when the storage had
+  // to grow — scratch arenas use this to verify they reach a
   // zero-allocation steady state.
-  bool ResetShape(std::vector<int64_t> new_shape);
+  bool ResetShape(int64_t rows, int64_t cols);
 
-  // ResetShape to `like`'s shape without constructing a shape vector at the
-  // call site: the shape is copy-assigned, so a reused tensor re-shapes with
-  // zero allocations. Same return contract as ResetShape.
+  // ResetShape to `like`'s shape: the shape is copy-assigned, so a reused
+  // tensor re-shapes with zero allocations. Same return contract as
+  // ResetShape.
   bool ResetShapeLike(const Tensor& like);
 
   // -- Element access --------------------------------------------------------

@@ -88,6 +88,8 @@ std::string MetricsSnapshot::ToJson() const {
       "\"cache\": {\"lookups\": %lld, \"hits\": %lld, \"misses\": %lld, "
       "\"insertions\": %lld, \"invalidations\": %lld, \"epoch\": %lld, "
       "\"capacity\": %lld}, "
+      "\"context_cache\": {\"lookups\": %lld, \"hits\": %lld, "
+      "\"misses\": %lld, \"entries\": %lld}, "
       "\"traffic\": {\"enabled\": %s, \"generation\": %lld, \"swaps\": %lld, "
       "\"snapshot_age_s\": %.3f, \"rows_accepted\": %lld, "
       "\"rows_rejected\": %lld, \"rows_pending\": %lld, "
@@ -107,6 +109,10 @@ std::string MetricsSnapshot::ToJson() const {
       static_cast<long long>(cache_invalidations),
       static_cast<long long>(cache_epoch),
       static_cast<long long>(cache_capacity),
+      static_cast<long long>(context_cache_lookups),
+      static_cast<long long>(context_cache_hits),
+      static_cast<long long>(context_cache_misses),
+      static_cast<long long>(context_cache_entries),
       traffic_enabled ? "true" : "false",
       static_cast<long long>(traffic_generation),
       static_cast<long long>(traffic_swaps), traffic_snapshot_age_s,

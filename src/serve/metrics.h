@@ -101,6 +101,15 @@ struct MetricsSnapshot {
   int64_t cache_epoch = 0;
   int64_t cache_capacity = 0;  // 0 = memoization disabled
 
+  // Traffic posterior memo counters (DeepSTModel::
+  // traffic_posterior_memo_stats), sampled the same way. Invariant at
+  // quiescence: hits + misses == lookups; entries never exceeds the memo's
+  // fixed capacity.
+  int64_t context_cache_lookups = 0;
+  int64_t context_cache_hits = 0;
+  int64_t context_cache_misses = 0;
+  int64_t context_cache_entries = 0;
+
   // Live traffic pipeline counters, sampled from the SnapshotStore at
   // snapshot time (zeros when serving a static snapshot). Invariants at
   // quiescence: traffic_generation == traffic_swaps + 1 (generation 1 is
@@ -119,8 +128,8 @@ struct MetricsSnapshot {
   int64_t traffic_pinned_high_water = 0;
 
   // One-line JSON object (stable key order) for the stats command and logs.
-  // Cache counters nest under a "cache" object, live-traffic counters under
-  // a "traffic" object.
+  // Transition-memo counters nest under a "cache" object, posterior-memo
+  // counters under "context_cache", live-traffic counters under "traffic".
   std::string ToJson() const;
 };
 

@@ -31,6 +31,11 @@ MetricsSnapshot Server::snapshot() const {
     s.cache_invalidations = ms.invalidations;
     s.cache_epoch = static_cast<int64_t>(ms.epoch);
     s.cache_capacity = ms.capacity;
+    const nn::infer::MemoStats ps = model->traffic_posterior_memo_stats();
+    s.context_cache_lookups = ps.lookups;
+    s.context_cache_hits = ps.hits;
+    s.context_cache_misses = ps.misses;
+    s.context_cache_entries = ps.entries;
   }
   traffic::SnapshotStore* store = context_->snapshot_store();
   if (store != nullptr) {

@@ -81,8 +81,9 @@ class Server {
   void Shutdown();
 
   bool draining() const;
-  // Counter snapshot, with the model's transition-memo cache counters
-  // filled into the cache_* fields (zeros when memoization is disabled).
+  // Counter snapshot, with the model's transition-memo and posterior-memo
+  // counters filled into the cache_* and context_cache_* fields (zeros when
+  // memoization is disabled).
   MetricsSnapshot snapshot() const;
   const ServeMetrics& metrics() const { return metrics_; }
   size_t queue_depth() const { return queue_.size(); }

@@ -6,11 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,45 +20,9 @@
 #include "traj/types.h"
 #include "util/rng.h"
 
-// -- Global allocation counter ----------------------------------------------
-// Replacing operator new lets the zero-copy test assert an O(1) allocation
-// count for a v3 load. Sanitizer builds own the allocator, so the counting
-// hooks (and the tests that need them) are compiled out there.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DEEPST_COUNT_ALLOCS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define DEEPST_COUNT_ALLOCS 0
-#else
-#define DEEPST_COUNT_ALLOCS 1
-#endif
-#else
-#define DEEPST_COUNT_ALLOCS 1
-#endif
-
-#if DEEPST_COUNT_ALLOCS
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<long> g_alloc_count{0};
-}  // namespace
-
-namespace {
-void* CountedAlloc(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif  // DEEPST_COUNT_ALLOCS
+// Counting operator new (alloc_counter.h) lets the zero-copy test assert an
+// O(1) allocation count for a v3 load.
+#include "alloc_counter.h"
 
 namespace deepst {
 namespace {

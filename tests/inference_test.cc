@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "baselines/neural_router.h"
 #include "core/deepst_model.h"
 #include "core/infer/session.h"
@@ -16,6 +17,7 @@
 #include "eval/world.h"
 #include "nn/backend.h"
 #include "nn/variable.h"
+#include "roadnet/grid_city.h"
 
 namespace deepst {
 namespace core {
@@ -274,28 +276,131 @@ TEST(InferenceArenaTest, ZeroAllocationSteadyState) {
   DeepSTModel model(world.net(), cfg, world.traffic_cache());
   util::Rng rng(51);
   const auto trips = TestTrips(4);
+  ASSERT_GE(trips.size(), 2u);
   infer::InferenceSession session(&model);
   RouteQuery query = eval::QueryFor(trips[0]->trip);
   PredictionContext ctx = model.MakeContext(query, &rng);
   std::vector<traj::Route> candidates;
   for (const auto* rec : trips) candidates.push_back(rec->trip.route);
+  // Cross-query items; their route and score vectors are the caller's
+  // output buffers, sized once like the serving layer's.
+  std::vector<PredictionContext> ctxs;
+  std::vector<PredictItem> pitems;
+  std::vector<ScoreItem> sitems;
+  for (const auto* rec : trips) {
+    ctxs.push_back(model.MakeContext(eval::QueryFor(rec->trip), &rng));
+  }
+  for (size_t i = 0; i < trips.size(); ++i) {
+    PredictItem p;
+    p.ctx = &ctxs[i];
+    p.origin = trips[i]->trip.route.front();
+    p.route.reserve(static_cast<size_t>(cfg.max_route_steps) + 1);
+    pitems.push_back(std::move(p));
+    ScoreItem s;
+    s.ctx = &ctxs[i];
+    s.routes = &candidates;
+    s.scores.reserve(candidates.size());
+    sitems.push_back(std::move(s));
+  }
+  traj::Route route;
+  std::vector<double> scores;
+  auto run = [&] {
+    util::Rng r(9);
+    route = session.PredictRouteBeam(ctx, query.origin, &r);
+    scores = session.ScoreRoutes(ctx, candidates);
+    session.ScoreRoute(ctx, candidates[0]);
+    session.PredictRoutesBeamMulti(&pitems);
+    session.ScoreRoutesMulti(&sitems);
+  };
   // Warmup pass grows the scratch arena to its high-water mark...
-  util::Rng r1(9);
-  session.PredictRouteBeam(ctx, query.origin, &r1);
-  session.ScoreRoutes(ctx, candidates);
+  run();
   const int64_t warm = session.arena_grow_count();
   const int64_t warm_scratch = session.scratch_grow_count();
   // ...after which identical work allocates nothing: neither the arena
   // slots nor the session-owned step scratch (embedding staging and the
   // per-layer double-precision state mirrors) grow again.
-  util::Rng r2(9);
-  session.PredictRouteBeam(ctx, query.origin, &r2);
-  session.ScoreRoutes(ctx, candidates);
-  session.ScoreRoute(ctx, candidates[0]);
+  run();
   EXPECT_EQ(session.arena_grow_count(), warm);
   EXPECT_EQ(session.scratch_grow_count(), warm_scratch);
   EXPECT_GT(warm_scratch, 0);
+#if DEEPST_COUNT_ALLOCS
+  // The same property on the heap itself: a warm call allocates nothing
+  // beyond the vector it returns by value.
+  util::Rng r(9);
+  EXPECT_EQ(CountAllocs([&] {
+              route = session.PredictRouteBeam(ctx, query.origin, &r);
+            }).count,
+            1);  // the returned route
+  EXPECT_EQ(CountAllocs([&] {
+              scores = session.ScoreRoutes(ctx, candidates);
+            }).count,
+            1);  // the returned scores
+  EXPECT_EQ(
+      CountAllocs([&] { session.ScoreRoute(ctx, candidates[0]); }).count, 0);
+  EXPECT_EQ(
+      CountAllocs([&] { session.PredictRoutesBeamMulti(&pitems); }).count, 0);
+  EXPECT_EQ(CountAllocs([&] { session.ScoreRoutesMulti(&sitems); }).count,
+            0);
+#endif  // DEEPST_COUNT_ALLOCS
 }
+
+#if DEEPST_COUNT_ALLOCS
+// A session's footprint depends on the model's dimensions, the beam width
+// and max_route_steps, never on the size of the road network: building one
+// and running a first 8-query lock-step beam allocates the same bytes on a
+// small and on a much larger city.
+TEST(InferenceArenaTest, SessionFootprintIndependentOfCitySize) {
+  struct Run {
+    int num_segments = 0;
+    int max_out_degree = 0;  // sizes the logits rows, so must match
+    AllocTally tally;
+  };
+  auto run_on = [](int grid_size) {
+    roadnet::GridCityConfig city = roadnet::ChengduMiniConfig();
+    city.rows = grid_size;
+    city.cols = grid_size;
+    const auto net = roadnet::BuildGridCity(city);
+    const DeepSTConfig cfg = baselines::DeepStCConfigOf(SmallConfig());
+    DeepSTModel model(*net, cfg, nullptr);
+    model.shared_infer_weights();  // packed once per model, not per session
+    util::Rng rng(5);
+    std::vector<PredictionContext> ctxs;
+    std::vector<PredictItem> items;
+    const geo::BoundingBox& box = net->bounds();
+    for (int q = 0; q < 8; ++q) {
+      RouteQuery query;
+      query.origin = static_cast<roadnet::SegmentId>(
+          (q * 7919) % net->num_segments());
+      query.destination = {box.min.x + (box.max.x - box.min.x) * (q + 1) / 9,
+                           box.max.y - (box.max.y - box.min.y) * (q + 1) / 9};
+      ctxs.push_back(model.MakeContext(query, &rng));
+      PredictItem item;
+      item.origin = query.origin;
+      item.route.reserve(static_cast<size_t>(cfg.max_route_steps) + 1);
+      items.push_back(std::move(item));
+    }
+    for (size_t q = 0; q < items.size(); ++q) items[q].ctx = &ctxs[q];
+    Run out;
+    out.num_segments = net->num_segments();
+    out.max_out_degree = net->MaxOutDegree();
+    out.tally = CountAllocs([&] {
+      infer::InferenceSession session(&model);
+      session.PredictRoutesBeamMulti(&items);
+    });
+    for (const PredictItem& item : items) EXPECT_GE(item.route.size(), 2u);
+    return out;
+  };
+  const Run small = run_on(14);
+  const Run big = run_on(32);
+  ASSERT_GT(big.num_segments, 5 * small.num_segments);
+  ASSERT_EQ(big.max_out_degree, small.max_out_degree);
+  EXPECT_GT(small.tally.bytes, 0);
+  EXPECT_EQ(big.tally.bytes, small.tally.bytes)
+      << "session bytes scale with the network (" << small.num_segments
+      << " -> " << big.num_segments << " segments)";
+  EXPECT_EQ(big.tally.count, small.tally.count);
+}
+#endif  // DEEPST_COUNT_ALLOCS
 
 TEST(InferenceConcurrencyTest, SessionPoolSafeUnderConcurrentCalls) {
   auto& world = TestWorld();

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <set>
+#include <type_traits>
 
 #include "core/deepst_model.h"
 #include "core/trainer.h"
@@ -32,13 +33,18 @@ eval::World& SweepWorld() {
 
 // -- Model config sweep ---------------------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no implicit padding: an uninitialised padding byte would make the
+// test names change from run to run. `pad` fills that byte and stays false.
 struct ModelCase {
   core::DestinationMode dest_mode;
   bool use_traffic;
   bool mask_slots;
   bool length_scaled;
+  bool pad;
   int beam;
 };
+static_assert(std::has_unique_object_representations_v<ModelCase>);
 
 class ModelConfigSweep : public testing::TestWithParam<ModelCase> {};
 
@@ -89,15 +95,18 @@ TEST_P(ModelConfigSweep, LossAndPredictionWellFormed) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, ModelConfigSweep,
     testing::Values(
-        ModelCase{core::DestinationMode::kProxies, true, false, true, 4},
-        ModelCase{core::DestinationMode::kProxies, false, false, true, 1},
-        ModelCase{core::DestinationMode::kProxies, true, true, false, 2},
-        ModelCase{core::DestinationMode::kFinalSegment, false, false, true,
+        ModelCase{core::DestinationMode::kProxies, true, false, true, false,
                   4},
-        ModelCase{core::DestinationMode::kFinalSegment, true, false, false,
+        ModelCase{core::DestinationMode::kProxies, false, false, true, false,
                   1},
-        ModelCase{core::DestinationMode::kNone, false, false, true, 4},
-        ModelCase{core::DestinationMode::kNone, true, true, true, 2}));
+        ModelCase{core::DestinationMode::kProxies, true, true, false, false,
+                  2},
+        ModelCase{core::DestinationMode::kFinalSegment, false, false, true,
+                  false, 4},
+        ModelCase{core::DestinationMode::kFinalSegment, true, false, false,
+                  false, 1},
+        ModelCase{core::DestinationMode::kNone, false, false, true, false, 4},
+        ModelCase{core::DestinationMode::kNone, true, true, true, false, 2}));
 
 // -- Map matching noise sweep -----------------------------------------------------
 

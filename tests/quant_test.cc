@@ -529,6 +529,34 @@ TEST(MemoCacheTest, StaleEpochIsNeverServed) {
   EXPECT_EQ(st.hits + st.misses, st.lookups);
 }
 
+TEST(MemoCacheTest, EntriesCountsTheCurrentEpochOnly) {
+  TransitionMemoCache cache(2, 1, 2, 64);
+  const float logits[2] = {1, 2};
+  const float state[2] = {3, 4};
+  const float* states[] = {state};
+  const uint64_t old_epoch = cache.current_epoch();
+  for (uint64_t i = 0; i < 5; ++i) {
+    cache.Insert(MixKey(MemoKey{}, i), old_epoch, logits, states);
+  }
+  cache.Insert(MixKey(MemoKey{}, 0), old_epoch, logits, states);  // refresh
+  EXPECT_EQ(cache.stats().entries, 5);
+  cache.Invalidate();
+  EXPECT_EQ(cache.stats().entries, 0);
+  // An in-flight query's insert under the old epoch is not an entry of the
+  // current one; a current insert over its way is.
+  cache.Insert(MixKey(MemoKey{}, 7), old_epoch, logits, states);
+  EXPECT_EQ(cache.stats().entries, 0);
+  cache.Insert(MixKey(MemoKey{}, 7), cache.current_epoch(), logits, states);
+  cache.Insert(MixKey(MemoKey{}, 8), cache.current_epoch(), logits, states);
+  EXPECT_EQ(cache.stats().entries, 2);
+  // Eviction replaces entries: the count never exceeds the capacity.
+  for (uint64_t i = 0; i < 500; ++i) {
+    cache.Insert(MixKey(MemoKey{}, 100 + i), cache.current_epoch(), logits,
+                 states);
+  }
+  EXPECT_EQ(cache.stats().entries, cache.stats().capacity);
+}
+
 TEST(MemoCacheTest, EvictionKeepsServingCorrectValues) {
   // Tiny cache, many distinct keys: every hit must still return the value
   // inserted under that exact key.

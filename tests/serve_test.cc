@@ -142,6 +142,37 @@ TEST_F(ServeTest, BatchedExecutionMatchesDirectServingBitwise) {
   EXPECT_NE(snap.ToJson().find("\"batch_shape\""), std::string::npos);
 }
 
+TEST_F(ServeTest, ContextCacheCountersRideAlongInSnapshot) {
+  core::ServingContext serving(&TestModel(), &TestWorld().index());
+  const auto queries = TestQueries(3);
+  const nn::infer::MemoStats before =
+      TestModel().traffic_posterior_memo_stats();
+  Server server(&serving, ServeOptions());
+  server.Start();
+  // Each query twice: the second read of a traffic tensor is a memo hit.
+  std::vector<std::future<util::StatusOr<core::ServingResult>>> futures;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& q : queries) {
+      futures.push_back(server.Submit(PredictRequest(q)));
+    }
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  server.Shutdown();
+  const MetricsSnapshot snap = server.snapshot();
+  EXPECT_GE(snap.context_cache_lookups - before.lookups,
+            static_cast<int64_t>(futures.size()));
+  EXPECT_GT(snap.context_cache_hits, before.hits);
+  EXPECT_EQ(snap.context_cache_hits + snap.context_cache_misses,
+            snap.context_cache_lookups);
+  EXPECT_GE(snap.context_cache_entries, 1);
+  EXPECT_LE(snap.context_cache_entries,
+            TestModel().traffic_posterior_memo_stats().capacity);
+  const std::string json = snap.ToJson();
+  EXPECT_NE(json.find("\"context_cache\": {\"lookups\": "), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"entries\": "), std::string::npos) << json;
+}
+
 TEST_F(ServeTest, ScoreRequestsReturnPerCandidateScores) {
   core::ServingContext serving(&TestModel(), &TestWorld().index());
   const auto& test = TestWorld().split().test;

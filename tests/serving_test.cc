@@ -2,12 +2,16 @@
 // model's DEEPST_CHECK abort sites), graceful degradation (traffic prior
 // mean, uniform proxy, origin snapping, deadline budget) with bitwise
 // determinism, strict-mode refusals, and the session-pool failure paths
-// (injected query faults surface as Status and never leak pool slots).
+// (injected query faults surface as Status and never leak pool slots), and
+// the traffic posterior memo behind MakeContext (bitwise hits across
+// overlays, swaps and new observations; concurrent use).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -15,6 +19,8 @@
 #include "core/deepst_model.h"
 #include "core/serving.h"
 #include "eval/world.h"
+#include "traffic/overlay.h"
+#include "traffic/store.h"
 #include "util/fault_injector.h"
 
 namespace deepst {
@@ -470,6 +476,255 @@ TEST_F(ServingTest, ConcurrentDegradationAccountingIsExactAndIsolated) {
   EXPECT_EQ(stats.traffic_prior_mean, kPerThread);
   EXPECT_EQ(stats.snapped_origin, kPerThread);
   EXPECT_EQ(stats.deadline_budget, 0);
+}
+
+// -- Traffic posterior memo --------------------------------------------------
+// MakeContext memoizes the traffic encoder's posterior by the exact bytes of
+// the tensor it reads (overlay applied). A model with the memo (the default
+// config) and one without it, built from one seed, hold identical weights,
+// so every hit must reproduce the memo-free context bit for bit.
+
+bool SameBytes(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+void ExpectSameContext(const PredictionContext& a,
+                       const PredictionContext& b) {
+  ASSERT_EQ(a.has_dest, b.has_dest);
+  ASSERT_EQ(a.has_traffic, b.has_traffic);
+  EXPECT_TRUE(SameBytes(a.dest_term, b.dest_term));
+  EXPECT_TRUE(SameBytes(a.dest_repr, b.dest_repr));
+  EXPECT_TRUE(SameBytes(a.traffic_term, b.traffic_term));
+  EXPECT_TRUE(SameBytes(a.traffic_repr, b.traffic_repr));
+}
+
+// Start of the time slot `time_s` falls in, on the world's cache.
+double SlotStart(double time_s) {
+  const traffic::TrafficTensorCache& cache = *TestWorld().traffic_cache();
+  return cache.SlotOf(time_s) * cache.slot_seconds();
+}
+
+// Rows inside the traffic window that feeds `query`'s slot, on its origin.
+std::vector<traffic::SpeedObservation> RowsFeeding(const RouteQuery& query) {
+  const geo::Point at = TestWorld().net().SegmentMidpoint(query.origin);
+  const double t = SlotStart(query.start_time_s) - 60.0;
+  return {{at, t, 1.5}, {at, t + 10.0, 2.5}, {at, t + 20.0, 0.5}};
+}
+
+// A covered test query whose traffic window cannot see RowsFeeding(base).
+RouteQuery QueryInOtherSlot(const RouteQuery& base) {
+  const traffic::TrafficTensorCache& cache = *TestWorld().traffic_cache();
+  const int slot = cache.SlotOf(base.start_time_s);
+  for (const auto* rec : TestWorld().split().test) {
+    const RouteQuery q = eval::QueryFor(rec->trip);
+    if (std::abs(cache.SlotOf(q.start_time_s) - slot) >= 2 &&
+        cache.HasObservations(q.start_time_s)) {
+      return q;
+    }
+  }
+  ADD_FAILURE() << "no covered test query two slots away";
+  return base;
+}
+
+class PosteriorMemoTest : public ServingTest {
+ protected:
+  void Build(DeepSTConfig cfg, traffic::TrafficTensorCache* cache) {
+    ASSERT_GT(cfg.memo_cache_capacity, 0);
+    warm_ = std::make_unique<DeepSTModel>(TestWorld().net(), cfg, cache);
+    cfg.memo_cache_capacity = 0;
+    cold_ = std::make_unique<DeepSTModel>(TestWorld().net(), cfg, cache);
+    EXPECT_EQ(cold_->traffic_posterior_memo_stats().capacity, 0);
+  }
+  void Build() {
+    Build(baselines::DeepStConfigOf(SmallConfig()),
+          TestWorld().traffic_cache());
+  }
+
+  // The memo-free model's context, from rng seed 7.
+  PredictionContext Cold(const RouteQuery& q, const ContextOptions& o = {}) {
+    util::Rng rng(7);
+    return cold_->MakeContext(q, &rng, o);
+  }
+
+  // Builds `q`'s context on the memoizing model and checks it against the
+  // memo-free model: rng draws included, since sampled prediction draws
+  // its reparameterized sample after the posterior lookup. `expect_hit`
+  // says whether the memo must already hold the tensor's posterior.
+  PredictionContext ExpectMatchesCold(const RouteQuery& q, bool expect_hit,
+                                      const ContextOptions& o = {}) {
+    const nn::infer::MemoStats before = warm_->traffic_posterior_memo_stats();
+    util::Rng warm_rng(7);
+    util::Rng cold_rng(7);
+    PredictionContext ctx = warm_->MakeContext(q, &warm_rng, o);
+    const PredictionContext cold = cold_->MakeContext(q, &cold_rng, o);
+    const nn::infer::MemoStats after = warm_->traffic_posterior_memo_stats();
+    EXPECT_EQ(after.lookups, before.lookups + 1);
+    EXPECT_EQ(after.hits, before.hits + (expect_hit ? 1 : 0));
+    EXPECT_EQ(after.misses, before.misses + (expect_hit ? 0 : 1));
+    ExpectSameContext(ctx, cold);
+    EXPECT_EQ(warm_rng.Gaussian(), cold_rng.Gaussian());
+    EXPECT_EQ(warm_rng.NextUint64(), cold_rng.NextUint64());
+    return ctx;
+  }
+
+  std::unique_ptr<DeepSTModel> warm_;
+  std::unique_ptr<DeepSTModel> cold_;
+};
+
+TEST_F(PosteriorMemoTest, PlainQueryHitIsBitwiseCold) {
+  Build();
+  const RouteQuery q = eval::QueryFor(CoveredTrip().trip);
+  ExpectMatchesCold(q, /*expect_hit=*/false);
+  ExpectMatchesCold(q, /*expect_hit=*/true);
+  // Another start time in the same slot reads the same tensor.
+  RouteQuery same_slot = q;
+  same_slot.start_time_s = SlotStart(q.start_time_s) + 1.0;
+  ExpectMatchesCold(same_slot, /*expect_hit=*/true);
+  const nn::infer::MemoStats stats = warm_->traffic_posterior_memo_stats();
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_GT(stats.capacity, 0);
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+}
+
+TEST_F(PosteriorMemoTest, OverlayKeysOnEditedBytes) {
+  Build();
+  const RouteQuery q = eval::QueryFor(CoveredTrip().trip);
+  const PredictionContext plain = ExpectMatchesCold(q, false);
+  const geo::BoundingBox& box = TestWorld().net().bounds();
+  traffic::TrafficOverlay overlay;
+  overlay.edits.push_back(
+      {traffic::OverlayEdit::Kind::kCloseCells, box.min, box.max, 1.0});
+  ContextOptions what_if;
+  what_if.overlay = &overlay;
+  const PredictionContext edited = ExpectMatchesCold(q, false, what_if);
+  EXPECT_FALSE(SameBytes(plain.traffic_repr, edited.traffic_repr));
+  ExpectMatchesCold(q, true, what_if);
+  ExpectMatchesCold(q, true);  // the plain entry is untouched
+}
+
+TEST_F(PosteriorMemoTest, SwapMissesOnlyWhereTheSlotChanged) {
+  Build();
+  traffic::SnapshotStore store(TestWorld().traffic_cache()->Clone(), nullptr);
+  const RouteQuery changed = eval::QueryFor(CoveredTrip().trip);
+  const RouteQuery unchanged = QueryInOtherSlot(changed);
+  ContextOptions gen1;
+  traffic::SnapshotPin pin1 = store.Acquire();
+  gen1.traffic_cache = pin1.cache();
+  const PredictionContext before = ExpectMatchesCold(changed, false, gen1);
+  ExpectMatchesCold(unchanged, false, gen1);
+
+  ASSERT_TRUE(store.Ingest(RowsFeeding(changed)).ok());
+  ASSERT_EQ(store.SwapNow(), 2u);
+  ContextOptions gen2;
+  traffic::SnapshotPin pin2 = store.Acquire();
+  gen2.traffic_cache = pin2.cache();
+  // The new rows change the changed slot's tensor: a miss that returns the
+  // new posterior. The other slot's tensor is rebuilt bit for bit in the
+  // new generation, so its entry still serves.
+  const PredictionContext after = ExpectMatchesCold(changed, false, gen2);
+  EXPECT_FALSE(SameBytes(before.traffic_repr, after.traffic_repr));
+  ExpectMatchesCold(changed, true, gen2);
+  ExpectMatchesCold(unchanged, true, gen2);
+  // The pinned old generation still hits its own entry.
+  ExpectMatchesCold(changed, true, gen1);
+}
+
+TEST_F(PosteriorMemoTest, AddObservationsOnConstructionCacheMisses) {
+  const std::unique_ptr<traffic::TrafficTensorCache> cache =
+      TestWorld().traffic_cache()->Clone();
+  Build(baselines::DeepStConfigOf(SmallConfig()), cache.get());
+  const RouteQuery q = eval::QueryFor(CoveredTrip().trip);
+  const PredictionContext before = ExpectMatchesCold(q, false);
+  ExpectMatchesCold(q, true);
+  cache->AddObservations(RowsFeeding(q));
+  const PredictionContext after = ExpectMatchesCold(q, false);
+  EXPECT_FALSE(SameBytes(before.traffic_repr, after.traffic_repr));
+  ExpectMatchesCold(q, true);
+}
+
+TEST_F(PosteriorMemoTest, DegradedContextsHitBitwise) {
+  Build();
+  const RouteQuery q = eval::QueryFor(CoveredTrip().trip);
+  ContextOptions prior_mean;
+  prior_mean.traffic_prior_mean = true;
+  ContextOptions uniform;
+  uniform.uniform_proxy = true;
+  ExpectMatchesCold(q, false, prior_mean);
+  ExpectMatchesCold(q, true, prior_mean);
+  ExpectMatchesCold(q, true, uniform);
+  ContextOptions both = prior_mean;
+  both.uniform_proxy = true;
+  ExpectMatchesCold(q, true, both);
+}
+
+TEST_F(PosteriorMemoTest, SampledPredictionDrawsTheSameSample) {
+  DeepSTConfig cfg = baselines::DeepStConfigOf(SmallConfig());
+  cfg.map_prediction = false;
+  Build(cfg, TestWorld().traffic_cache());
+  const RouteQuery q = eval::QueryFor(CoveredTrip().trip);
+  const PredictionContext first = ExpectMatchesCold(q, false);
+  const PredictionContext hit = ExpectMatchesCold(q, true);
+  // Same seed, same sample: the draw comes after the lookup either way.
+  EXPECT_TRUE(SameBytes(first.traffic_repr, hit.traffic_repr));
+  util::Rng other(8);
+  EXPECT_FALSE(SameBytes(first.traffic_repr,
+                         warm_->MakeContext(q, &other).traffic_repr));
+}
+
+TEST_F(PosteriorMemoTest, RetireClearsTheMemo) {
+  Build();
+  const RouteQuery q = eval::QueryFor(CoveredTrip().trip);
+  ExpectMatchesCold(q, false);
+  EXPECT_EQ(warm_->traffic_posterior_memo_stats().entries, 1);
+  warm_->RetirePooledSessions();
+  EXPECT_EQ(warm_->traffic_posterior_memo_stats().entries, 0);
+  ExpectMatchesCold(q, false);
+}
+
+// Concurrent MakeContext calls share one memo (run under TSan via
+// tools/check_sanitize.sh): every context equals its serial reference and
+// the counters balance exactly.
+TEST_F(PosteriorMemoTest, ConcurrentMakeContextIsBitwiseAndCounted) {
+  Build();
+  std::vector<RouteQuery> queries;
+  std::vector<PredictionContext> expected;
+  for (const auto* rec : TestWorld().split().test) {
+    queries.push_back(eval::QueryFor(rec->trip));
+    expected.push_back(Cold(queries.back()));
+    if (queries.size() == 12) break;
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 6;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const size_t k = (i + static_cast<size_t>(w) * 5) % queries.size();
+          util::Rng rng(7);
+          const PredictionContext ctx = warm_->MakeContext(queries[k], &rng);
+          if (!SameBytes(ctx.traffic_repr, expected[k].traffic_repr) ||
+              !SameBytes(ctx.traffic_term, expected[k].traffic_term) ||
+              !SameBytes(ctx.dest_repr, expected[k].dest_repr)) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const nn::infer::MemoStats stats = warm_->traffic_posterior_memo_stats();
+  EXPECT_EQ(stats.lookups,
+            static_cast<int64_t>(kThreads * kRounds * queries.size()));
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+  EXPECT_GE(stats.entries, 1);
+  EXPECT_LE(stats.entries, static_cast<int64_t>(queries.size()));
+  // A thread misses a tensor at most once: it inserts before going on.
+  EXPECT_LE(stats.misses, kThreads * stats.entries);
 }
 
 }  // namespace

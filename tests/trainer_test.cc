@@ -6,6 +6,7 @@
 
 #include "baselines/neural_router.h"
 #include "eval/world.h"
+#include "nn/serialize.h"
 #include "traj/segment_stats.h"
 
 namespace deepst {
@@ -111,6 +112,53 @@ TEST(TrainerTest, FitRestoresBestEpochWeights) {
   const double post_fit_ce = trainer.EvaluateRouteCe(world.split().validation);
   const auto& best = result.epochs[static_cast<size_t>(result.best_epoch)];
   EXPECT_DOUBLE_EQ(post_fit_ce, best.val_route_ce);
+}
+
+TEST(TrainerTest, FitLeavesNoStaleInferenceState) {
+  // Regression: a model that predicted before Fit kept the inference state
+  // derived from its old weights (packed GEMV weights, transition and
+  // traffic-posterior memos) after training changed them. After Fit, it
+  // must answer exactly like a fresh model loaded from the trained weights.
+  auto& world = TestWorld();
+  DeepSTConfig cfg = TinyConfig();
+  cfg.use_traffic = true;
+  DeepSTModel model(world.net(), cfg, world.traffic_cache());
+  struct Answers {
+    std::vector<traj::Route> routes;
+    std::vector<double> scores;
+  };
+  auto answer = [&world](DeepSTModel* m) {
+    Answers out;
+    for (const auto* rec : world.split().test) {
+      if (out.routes.size() == 6) break;
+      const RouteQuery query = eval::QueryFor(rec->trip);
+      util::Rng rng(3);
+      const PredictionContext ctx = m->MakeContext(query, &rng);
+      out.routes.push_back(m->PredictRoute(ctx, query.origin, &rng));
+      out.scores.push_back(m->ScoreRoute(ctx, rec->trip.route));
+    }
+    return out;
+  };
+  const Answers before = answer(&model);
+  TrainerConfig tcfg;
+  tcfg.max_epochs = 1;
+  tcfg.verbose = false;
+  Trainer trainer(&model, tcfg);
+  ASSERT_TRUE(
+      trainer.Fit(world.split().train, world.split().validation).status.ok());
+  const Answers after = answer(&model);
+
+  auto fresh = DeepSTModel::LoadFromParams(world.net(), cfg,
+                                           world.traffic_cache(),
+                                           nn::SnapshotParameters(model));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_TRUE(
+      nn::ApplyNamedBuffers(fresh.value().get(), nn::SnapshotBuffers(model))
+          .ok());
+  const Answers expected = answer(fresh.value().get());
+  EXPECT_NE(after.scores, before.scores) << "training changed nothing";
+  EXPECT_EQ(after.routes, expected.routes);
+  EXPECT_EQ(after.scores, expected.scores);
 }
 
 TEST(TrainerTest, EvaluateRouteCeDeterministic) {
