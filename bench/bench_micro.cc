@@ -324,6 +324,80 @@ void BM_MakeContext(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeContext)->Arg(0)->Arg(1);
 
+// The proxy encoder's output layer for one destination: ops::Linear (the
+// autodiff forward MakeContext ran before, here under NoGradGuard) against
+// the output-major row kernel it runs now, at chengdu-full's served
+// K = segments / 6 = 18,523 and chengdu-mini's 71, from 64 hidden units,
+// single-threaded. Exported as bench_out/BENCH_proxy.json; each row's
+// bitwise_equal field says whether the kernel reproduced ops::Linear
+// exactly (tools/check_perf.sh asserts it).
+void BM_ProxyLogits(benchmark::State& state) {
+  struct Row {
+    int64_t out = 0;
+    double seconds = 0.0;
+    double baseline_seconds = 0.0;  // ops::Linear
+    bool bitwise_equal = false;
+  };
+  std::vector<Row> rows;
+  const int prev = nn::GetBackendThreads();
+  nn::SetBackendThreads(1);
+  const int64_t in = 64;
+  for (const int64_t out : {int64_t{18523}, int64_t{71}}) {
+    util::Rng rng(23);
+    const nn::VarPtr w =
+        nn::Constant(nn::Tensor::Uniform({out, in}, -1, 1, &rng));
+    const nn::VarPtr b = nn::Constant(nn::Tensor::Uniform({out}, -1, 1, &rng));
+    const nn::Tensor x = nn::Tensor::Uniform({1, in}, -1, 1, &rng);
+    const nn::infer::OutputMajorMatrix packed =
+        nn::infer::OutputMajorMatrix::Pack(w->value().data(), out, in);
+    std::vector<float> got(static_cast<size_t>(out));
+    const int reps = (eval::FastMode() ? 50 : 500) * (out < 1000 ? 100 : 1);
+    const auto time = [reps](const std::function<void()>& fn) {
+      fn();  // warmup
+      util::Stopwatch watch;
+      for (int i = 0; i < reps; ++i) fn();
+      return watch.ElapsedSeconds() / reps;
+    };
+    nn::NoGradGuard no_grad;
+    Row row;
+    row.out = out;
+    row.baseline_seconds = time([&] {
+      benchmark::DoNotOptimize(nn::ops::Linear(nn::Constant(x), w, b));
+    });
+    row.seconds = time([&] {
+      nn::infer::LinearRowOutputMajor(x.data(), packed, b->value().data(),
+                                      got.data());
+      benchmark::DoNotOptimize(got.data());
+    });
+    const nn::Tensor ref = nn::ops::Linear(nn::Constant(x), w, b)->value();
+    row.bitwise_equal = std::memcmp(ref.data(), got.data(),
+                                    got.size() * sizeof(float)) == 0;
+    rows.push_back(row);
+  }
+  nn::SetBackendThreads(prev);
+
+  std::ofstream json(OutDir() + "/BENCH_proxy.json");
+  json << "[\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    const std::string variant = "proxy_logits_k" + std::to_string(r.out);
+    const double speedup =
+        r.seconds > 0.0 ? r.baseline_seconds / r.seconds : 0.0;
+    json << "  {\"variant\": \"" << variant << "\", \"in\": " << in
+         << ", \"out\": " << r.out << ", \"ns_per_op\": " << r.seconds * 1e9
+         << ", \"ops_linear_ns_per_op\": " << r.baseline_seconds * 1e9
+         << ", \"speedup_vs_ops_linear\": " << speedup
+         << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
+         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    state.counters[variant + "_speedup"] = speedup;
+    state.counters[variant + "_bitwise_equal"] = r.bitwise_equal ? 1 : 0;
+  }
+  json << "]\n";
+  for (auto _ : state) {
+  }
+}
+BENCHMARK(BM_ProxyLogits)->Iterations(1)->Unit(benchmark::kMillisecond);
+
 // What the posterior memo adds to a miss: one hash over the bytes of the
 // [2, side, side] traffic tensor (chengdu-mini's grid is 12x12,
 // chengdu-full's 52x52).
@@ -724,16 +798,17 @@ void BM_GemmSweep(benchmark::State& state) {
 
   // Kernel micro: a serve-size step shape ([3H, H] with H = 128) across
   // batch sizes spanning partial tiles, one warm band sweep, and the
-  // reduced precisions at the batched beam shape.
+  // reduced precisions at the batched beam shape; then the GRU-step shapes
+  // the served models run (H = 32 or 64, 3H = 192 gate rows, no K tail),
+  // whose full tiles reduce through the transposed lane-tree epilogue.
   {
-    const int64_t k = 128, n = 3 * 128;
     util::Rng rng(21);
-    const nn::Tensor w = nn::Tensor::Uniform({n, k}, -1, 1, &rng);
-    const nn::Tensor b = nn::Tensor::Uniform({n}, -1, 1, &rng);
     const int reps = eval::FastMode() ? 500 : 5000;
     struct Shape {
       nn::infer::Precision precision;
       int64_t m;
+      int64_t k = 128;
+      int64_t n = 3 * 128;
     };
     const Shape shapes[] = {
         {nn::infer::Precision::kDouble, 4},
@@ -741,8 +816,17 @@ void BM_GemmSweep(benchmark::State& state) {
         {nn::infer::Precision::kDouble, 33},
         {nn::infer::Precision::kBf16, 16},
         {nn::infer::Precision::kInt8, 16},
+        {nn::infer::Precision::kDouble, 4, 32, 192},
+        {nn::infer::Precision::kDouble, 28, 32, 192},
+        {nn::infer::Precision::kDouble, 32, 32, 192},
+        {nn::infer::Precision::kDouble, 4, 64, 192},
+        {nn::infer::Precision::kDouble, 28, 64, 192},
+        {nn::infer::Precision::kDouble, 32, 64, 192},
     };
     for (const Shape& s : shapes) {
+      const int64_t k = s.k, n = s.n;
+      const nn::Tensor w = nn::Tensor::Uniform({n, k}, -1, 1, &rng);
+      const nn::Tensor b = nn::Tensor::Uniform({n}, -1, 1, &rng);
       std::vector<double> x(static_cast<size_t>(s.m * k));
       for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
       const auto chunk =
@@ -766,8 +850,10 @@ void BM_GemmSweep(benchmark::State& state) {
       Row row;
       row.variant = std::string("gemm_") +
                     nn::infer::PrecisionName(s.precision) + "_m" +
-                    std::to_string(s.m);
-      row.workload = "gemv_k128_n384";
+                    std::to_string(s.m) +
+                    (k == 128 ? "" : "_k" + std::to_string(k));
+      row.workload =
+          "gemv_k" + std::to_string(k) + "_n" + std::to_string(n);
       row.baseline_seconds = time_gemv(chunk, out_chunk.data());
       row.seconds = time_gemv(blocked, out_blocked.data());
       row.bitwise_equal =

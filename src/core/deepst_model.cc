@@ -265,7 +265,7 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
     const std::vector<const traj::Trip*>& batch, util::Rng* rng,
     bool training, std::vector<nn::VarPtr>* extra_loss_terms,
     LossStats* stats, traffic::TrafficTensorCache* traffic_cache,
-    const traffic::TrafficOverlay* overlay, bool memoize_posterior) {
+    const traffic::TrafficOverlay* overlay, bool inference) {
   const int64_t bsz = static_cast<int64_t>(batch.size());
   BatchContext ctx;
 
@@ -283,14 +283,19 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
       row_weights[b] = static_cast<float>(std::max(w, 1.0));
     }
     nn::Tensor x_norm = proxy_->NormalizeDestinations(dests);
-    nn::VarPtr logits_pi = proxy_->EncodeLogits(x_norm);
-    nn::VarPtr pi = training
-                        ? proxy_->SamplePi(logits_pi, config_.gumbel_tau, rng)
-                        : (config_.map_prediction
-                               ? proxy_->ModePi(logits_pi)
-                               : proxy_->SamplePi(logits_pi,
-                                                  config_.gumbel_tau, rng));
-    ctx.dest_repr = proxy_->Embed(pi);
+    nn::VarPtr logits_pi;
+    nn::VarPtr pi;
+    if (inference) {
+      ctx.dest_repr = InferDestRepr(x_norm, rng);
+    } else {
+      logits_pi = proxy_->EncodeLogits(x_norm);
+      pi = training ? proxy_->SamplePi(logits_pi, config_.gumbel_tau, rng)
+                    : (config_.map_prediction
+                           ? proxy_->ModePi(logits_pi)
+                           : proxy_->SamplePi(logits_pi, config_.gumbel_tau,
+                                              rng));
+      ctx.dest_repr = proxy_->Embed(pi);
+    }
     ctx.dest_term = beta_->Forward(ctx.dest_repr);
     if (extra_loss_terms != nullptr) {
       // Eq. 7: + log P(x | pi, M, S) (weighted), - 2 KL(q(pi|x) || P(pi)).
@@ -348,7 +353,7 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
       }
     }
     TrafficPosterior post =
-        memoize_posterior && posterior_memo_ != nullptr
+        inference && posterior_memo_ != nullptr
             ? MemoizedPosterior(unique_tensors)
             : traffic_encoder_->Encode(unique_tensors, training);
     // Gather per-trip posterior params, then reparameterize per trip.
@@ -374,6 +379,37 @@ DeepSTModel::BatchContext DeepSTModel::MakeBatchContext(
     }
   }
   return ctx;
+}
+
+nn::VarPtr DeepSTModel::InferDestRepr(const nn::Tensor& x_norm,
+                                      util::Rng* rng) {
+  DEEPST_CHECK_EQ(x_norm.dim(0), 1);
+  const std::shared_ptr<const infer::SharedInferWeights> weights =
+      shared_infer_weights();
+  const nn::infer::MlpView& encoder = weights->proxy_encoder;
+  const int64_t k = encoder.out_dim();
+  nn::Tensor logits({1, k});
+  encoder.Forward(x_norm.data(), logits.data());
+  if (!config_.map_prediction) {
+    // Same logits, same SamplePi: the rng draws are the graph path's.
+    return proxy_->Embed(proxy_->SamplePi(nn::Constant(std::move(logits)),
+                                          config_.gumbel_tau, rng));
+  }
+  // ModePi's first-max argmax. Embed of that one-hot row is GemmAcc over a
+  // zeroed [1, dest_dim] row that skips the zero entries of pi, i.e.
+  // 0.0f + 1.0f * W[best][j] per element: a row gather, no [1, K] one-hot
+  // and no matmul.
+  const float* lv = logits.data();
+  int64_t best = 0;
+  for (int64_t c = 1; c < k; ++c) {
+    if (lv[c] > lv[best]) best = c;
+  }
+  const nn::Tensor& table = proxy_->embeddings();
+  const int64_t dim = table.dim(1);
+  const float* row = table.data() + best * dim;
+  nn::Tensor repr({1, dim});
+  for (int64_t j = 0; j < dim; ++j) repr[j] = 0.0f + 1.0f * row[j];
+  return nn::Constant(std::move(repr));
 }
 
 TrafficPosterior DeepSTModel::MemoizedPosterior(
@@ -538,7 +574,7 @@ PredictionContext DeepSTModel::MakeContextImpl(
   std::vector<const traj::Trip*> batch = {&probe};
   BatchContext ctx =
       MakeBatchContext(batch, rng, /*training=*/false, nullptr, nullptr,
-                       traffic_cache, overlay, /*memoize_posterior=*/true);
+                       traffic_cache, overlay, /*inference=*/true);
 
   PredictionContext out;
   out.destination = query.destination;
@@ -611,9 +647,9 @@ PredictionContext DeepSTModel::MakeContext(const RouteQuery& query,
   return out;
 }
 
-double ValidSlotLogProb(const float* logits_row, int num_valid, int slot) {
-  DEEPST_CHECK(slot >= 0 && slot < num_valid);
-  double mx = logits_row[0];
+ValidSlotNormalizer::ValidSlotNormalizer(const float* logits_row,
+                                         int num_valid)
+    : mx(logits_row[0]) {
   for (int s = 1; s < num_valid; ++s) {
     mx = std::max(mx, static_cast<double>(logits_row[s]));
   }
@@ -621,7 +657,12 @@ double ValidSlotLogProb(const float* logits_row, int num_valid, int slot) {
   for (int s = 0; s < num_valid; ++s) {
     denom += std::exp(logits_row[s] - mx);
   }
-  return logits_row[slot] - mx - std::log(denom);
+  log_denom = std::log(denom);
+}
+
+double ValidSlotLogProb(const float* logits_row, int num_valid, int slot) {
+  DEEPST_CHECK(slot >= 0 && slot < num_valid);
+  return ValidSlotNormalizer(logits_row, num_valid).LogProb(logits_row, slot);
 }
 
 namespace {

@@ -236,6 +236,7 @@ class DeepSTModel : public nn::Module {
   const DeepSTConfig& config() const { return config_; }
   const roadnet::RoadNetwork& network() const { return net_; }
   DestinationProxyModel* proxy_model() { return proxy_.get(); }
+  const DestinationProxyModel* proxy_model() const { return proxy_.get(); }
   // Traffic cache backing MakeContext (null when !config.use_traffic). The
   // serving layer reads its staleness signals to pick between live traffic
   // and the prior-mean fallback.
@@ -322,9 +323,11 @@ class DeepSTModel : public nn::Module {
   };
   // `traffic_cache` overrides the construction-time cache (pinned snapshot
   // serving); `overlay` applies a what-if edit to a copy of each unique
-  // traffic tensor. Training passes neither. `memoize_posterior` (set by
-  // MakeContextImpl only, so Loss never touches the memo in training or
-  // validation) reads the traffic posterior through posterior_memo_.
+  // traffic tensor. Training passes neither. `inference` (set by
+  // MakeContextImpl only, so Loss keeps the autodiff path and its gradients
+  // in training and validation) builds the destination representation off
+  // the graph (InferDestRepr) and reads the traffic posterior through
+  // posterior_memo_.
   BatchContext MakeBatchContext(const std::vector<const traj::Trip*>& batch,
                                 util::Rng* rng, bool training,
                                 std::vector<nn::VarPtr>* extra_loss_terms,
@@ -333,7 +336,11 @@ class DeepSTModel : public nn::Module {
                                     nullptr,
                                 const traffic::TrafficOverlay* overlay =
                                     nullptr,
-                                bool memoize_posterior = false);
+                                bool inference = false);
+  // W pi for one normalized destination row, bitwise the evaluation-mode
+  // composition EncodeLogits -> ModePi (or SamplePi) -> Embed, with the
+  // proxy logits from the packed encoder (SharedInferWeights).
+  nn::VarPtr InferDestRepr(const nn::Tensor& x_norm, util::Rng* rng);
   // Evaluation-mode posterior of the single tensor in `tensors`, from the
   // memo when it holds those exact bytes, else encoded and inserted.
   TrafficPosterior MemoizedPosterior(
@@ -394,6 +401,19 @@ class DeepSTModel : public nn::Module {
 // out-degree) biases cross-route comparisons. Shared by the autodiff
 // reference path and the graph-free engine so both normalize identically.
 double ValidSlotLogProb(const float* logits_row, int num_valid, int slot);
+
+// The slot-independent part of ValidSlotLogProb for one logits row: the max
+// valid logit and the log of the exp-sum against it. The beam loops build
+// one per hypothesis instead of renormalizing per candidate slot; LogProb
+// is the same expression, so it is bitwise ValidSlotLogProb.
+struct ValidSlotNormalizer {
+  ValidSlotNormalizer(const float* logits_row, int num_valid);
+  double LogProb(const float* logits_row, int slot) const {
+    return logits_row[slot] - mx - log_denom;
+  }
+  double mx = 0.0;
+  double log_denom = 0.0;
+};
 
 // Shared stop rule of the generative process: the paper's
 // f_s(r, x) = 1 / (1 + ||p(x, r) - x||_2) Bernoulli parameter (distance in

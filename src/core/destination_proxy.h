@@ -59,6 +59,11 @@ class DestinationProxyModel : public nn::Module {
   // Index of the proxy a destination is allocated to (posterior mode).
   int AllocateProxy(const geo::Point& dest) const;
 
+  // Raw views for the graph-free inference path (core/infer): the q(pi|x)
+  // encoder and the proxy embedding table W^T, [K, dest_dim].
+  const nn::Mlp& encoder() const { return *encoder_; }
+  const nn::Tensor& embeddings() const { return embeddings_->value(); }
+
  private:
   int num_proxies_;
   geo::Point center_;

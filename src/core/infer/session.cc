@@ -52,7 +52,11 @@ std::shared_ptr<const SharedInferWeights> SharedInferWeights::Build(
       cell.w_hh.BuildPanels();
     }
   }
-  w->packed_weight_bytes = w->alpha_w.PackedBytes();
+  if (const DestinationProxyModel* proxy = model.proxy_model()) {
+    w->proxy_encoder = nn::infer::MlpView::Of(proxy->encoder());
+  }
+  w->packed_weight_bytes =
+      w->alpha_w.PackedBytes() + w->proxy_encoder.PackedBytes();
   w->packed_panel_bytes = w->alpha_w.PanelBytes();
   for (const nn::infer::GruCellView& cell : w->gru.cells) {
     w->packed_weight_bytes += cell.w_ih.PackedBytes() +
@@ -569,10 +573,11 @@ traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
                               ? hit_logits + static_cast<int64_t>(hr) * nmax_
                               : logits + static_cast<int64_t>(a) * nmax_;
       const int deg = static_cast<int>(outs.size());
+      const ValidSlotNormalizer norm(lrow, deg);
       ranked_.clear();
       for (int s = 0; s < deg; ++s) {
         if (OnRoute(beam.route, outs[static_cast<size_t>(s)])) continue;
-        ranked_.emplace_back(ValidSlotLogProb(lrow, deg, s), s);
+        ranked_.emplace_back(norm.LogProb(lrow, s), s);
       }
       if (ranked_.empty()) {  // boxed in: terminate this hypothesis
         beam.done = true;
@@ -858,10 +863,11 @@ void InferenceSession::PredictRoutesBeamMulti(
             hr >= 0 ? hit_logits + static_cast<int64_t>(hr) * nmax_
                     : logits + static_cast<int64_t>(a) * nmax_;
         const int deg = static_cast<int>(outs.size());
+        const ValidSlotNormalizer norm(lrow, deg);
         ranked_.clear();
         for (int s = 0; s < deg; ++s) {
           if (OnRoute(beam.route, outs[static_cast<size_t>(s)])) continue;
-          ranked_.emplace_back(ValidSlotLogProb(lrow, deg, s), s);
+          ranked_.emplace_back(norm.LogProb(lrow, s), s);
         }
         if (ranked_.empty()) {
           beam.done = true;

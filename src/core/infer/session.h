@@ -22,11 +22,18 @@ namespace infer {
 // model's float table (exactly, in every precision mode) instead of keeping
 // an O(num_segments) double copy. That table and the biases are read
 // through tensor pointers into the model, which must outlive the view.
+//
+// The proxy encoder q(pi|x) is packed too, output-major and in exact float
+// whatever the precision: MakeContext computes the proxy logits from it
+// (nn::infer::MlpView), bitwise the autodiff encoder's.
 struct SharedInferWeights {
   nn::infer::Precision precision = nn::infer::Precision::kDouble;
   nn::infer::GruStackView gru;
   nn::infer::PackedMatrix alpha_w;   // [N_max, H]
-  size_t packed_weight_bytes = 0;    // GEMV operand bytes at this precision
+  nn::infer::MlpView proxy_encoder;  // 2 -> hidden -> K; empty w/o proxies
+  // Packed operand bytes: the GEMV weights at this precision plus the
+  // proxy encoder pack.
+  size_t packed_weight_bytes = 0;
   // Bytes of the K-major panel sidecars built for the blocked GEMM path
   // (config.gemm_blocking; 0 when off). Panels duplicate the full blocks of
   // each matrix in streaming order, so this is close to a second copy of

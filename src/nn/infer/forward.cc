@@ -33,6 +33,7 @@ namespace {
 #define DEEPST_FORCE_INLINE inline __attribute__((always_inline))
 
 typedef double Vec8 __attribute__((vector_size(64)));
+typedef int64_t VecI8 __attribute__((vector_size(64)));  // Vec8 shuffle masks
 typedef float VecF8x32 __attribute__((vector_size(32)));
 // 16-lane float types for the reduced-precision kernels: same 64-byte
 // register budget as Vec8, twice the elements per op.
@@ -59,6 +60,26 @@ DEEPST_FORCE_INLINE float UnpackBf16(uint16_t h) {
   return f;
 }
 
+// The fixed pairwise combine of one 8-lane double accumulator.
+DEEPST_FORCE_INLINE double LaneSum(const Vec8& acc) {
+  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+}
+
+// Epilogue of one double output element given its lane sum: the scalar K
+// tail [k0, k) from the row-major rows, the float cast, the bias adds.
+DEEPST_FORCE_INLINE float FinishSum(double lanes, const double* xrow,
+                                    const double* wrow, int64_t k, int64_t k0,
+                                    const float* bias, const float* bias2,
+                                    int64_t j) {
+  double tail = 0.0;
+  for (int64_t kk = k0; kk < k; ++kk) tail += xrow[kk] * wrow[kk];
+  float v = static_cast<float>(lanes + tail);
+  if (bias != nullptr) v += bias[j];
+  if (bias2 != nullptr) v += bias2[j];
+  return v;
+}
+
 // One output element: an 8-lane double dot over k, lanes combined pairwise
 // in a fixed order, plus the optional biases. Inlined into each ISA clone
 // of LinearChunk so the lane arithmetic picks up the clone's vector width.
@@ -72,15 +93,7 @@ DEEPST_FORCE_INLINE float DotBias(const double* xrow, const double* wrow, int64_
     std::memcpy(&wv, wrow + kk, sizeof(wv));
     acc += xv * wv;
   }
-  double tail = 0.0;
-  for (; kk < k; ++kk) tail += xrow[kk] * wrow[kk];
-  const double sum = (((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-                      ((acc[4] + acc[5]) + (acc[6] + acc[7]))) +
-                     tail;
-  float v = static_cast<float>(sum);
-  if (bias != nullptr) v += bias[j];
-  if (bias2 != nullptr) v += bias2[j];
-  return v;
+  return FinishSum(LaneSum(acc), xrow, wrow, k, kk, bias, bias2, j);
 }
 
 // One contiguous run [begin, end) of the flat row-major output; (i, j) are
@@ -348,7 +361,8 @@ void GemvChunkI8RowBias(const double* x, int64_t ldx, const int8_t* w,
 // never within one. Each of the MR*NR accumulators executes exactly the
 // chunk kernel's per-element sequence — the same ascending vector blocks,
 // the same `acc += xv * wv` expression (so FP contraction fuses
-// identically), the same pairwise lane reduction, the same scalar K tail
+// identically), the same pairwise lane reduction (the double tile runs it
+// for all eight accumulators at once, LaneSums8), the same scalar K tail
 // from the row-major arrays, the same cast and bias adds — so the blocked
 // path is bitwise identical to the chunk path for all three precisions.
 // Partial bands (m % kGemmMr), row tails (n % kGemmNr) and K tails run
@@ -367,20 +381,34 @@ DEEPST_FORCE_INLINE const float* BiasBase(const float* base, const int* bias_row
   return base + static_cast<int64_t>(bias_row[i]) * n;
 }
 
-// Finish one double accumulator: scalar K tail from the row-major weight
-// row, then exactly DotBias's pairwise reduction, cast and bias adds.
-DEEPST_FORCE_INLINE float FinishD(const Vec8& acc, const double* xrow, const double* wrow,
-                     int64_t k, int64_t k0, const float* bias,
-                     const float* bias2, int64_t j) {
-  double tail = 0.0;
-  for (int64_t kk = k0; kk < k; ++kk) tail += xrow[kk] * wrow[kk];
-  const double sum = (((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-                      ((acc[4] + acc[5]) + (acc[6] + acc[7]))) +
-                     tail;
-  float v = static_cast<float>(sum);
-  if (bias != nullptr) v += bias[j];
-  if (bias2 != nullptr) v += bias2[j];
-  return v;
+// Adjacent-lane pair sums of two accumulators side by side: lanes 0-3 of
+// *out hold a's pairs (a[0]+a[1], a[2]+a[3], a[4]+a[5], a[6]+a[7]), lanes
+// 4-7 b's. (Vectors pass by reference: a by-value 64-byte vector would
+// change the default clone's ABI.)
+DEEPST_FORCE_INLINE void PairSums(const Vec8& a, const Vec8& b, Vec8* out) {
+  constexpr VecI8 kEven = {0, 2, 4, 6, 8, 10, 12, 14};
+  constexpr VecI8 kOdd = {1, 3, 5, 7, 9, 11, 13, 15};
+  *out = __builtin_shuffle(a, b, kEven) + __builtin_shuffle(a, b, kOdd);
+}
+
+// LaneSum of eight accumulators at once, as one transposed pairwise tree:
+// lane i of *sums is LaneSum(a_i). Stage one forms every adjacent pair,
+// stage two every (pair + pair), stage three the two halves, and each add
+// keeps LaneSum's left and right operands, so every lane is bitwise
+// LaneSum's. Seven vector adds replace 56 lane extracts and adds.
+DEEPST_FORCE_INLINE void LaneSums8(const Vec8& a0, const Vec8& a1,
+                                   const Vec8& a2, const Vec8& a3,
+                                   const Vec8& a4, const Vec8& a5,
+                                   const Vec8& a6, const Vec8& a7,
+                                   Vec8* sums) {
+  Vec8 p01, p23, p45, p67, q0, q1;
+  PairSums(a0, a1, &p01);
+  PairSums(a2, a3, &p23);
+  PairSums(a4, a5, &p45);
+  PairSums(a6, a7, &p67);
+  PairSums(p01, p23, &q0);
+  PairSums(p45, p67, &q1);
+  PairSums(q0, q1, sums);
 }
 
 // DotBiasBf16's epilogue for one accumulator.
@@ -461,20 +489,23 @@ void GemmBandsD(const double* x, int64_t ldx, const double* w,
           a30 += xv * w0;
           a31 += xv * w1;
         }
+        // Tile element (r, c) is lane 2r + c of the reduced sums.
+        Vec8 s;
+        LaneSums8(a00, a01, a10, a11, a20, a21, a30, a31, &s);
         const double* w0r = w + j0 * k;
         const double* w1r = w0r + k;
         float* o0 = out + (i0 + 0) * n + j0;
         float* o1 = out + (i0 + 1) * n + j0;
         float* o2 = out + (i0 + 2) * n + j0;
         float* o3 = out + (i0 + 3) * n + j0;
-        o0[0] = FinishD(a00, xr[0], w0r, k, kk, b0[0], b1[0], j0);
-        o0[1] = FinishD(a01, xr[0], w1r, k, kk, b0[0], b1[0], j0 + 1);
-        o1[0] = FinishD(a10, xr[1], w0r, k, kk, b0[1], b1[1], j0);
-        o1[1] = FinishD(a11, xr[1], w1r, k, kk, b0[1], b1[1], j0 + 1);
-        o2[0] = FinishD(a20, xr[2], w0r, k, kk, b0[2], b1[2], j0);
-        o2[1] = FinishD(a21, xr[2], w1r, k, kk, b0[2], b1[2], j0 + 1);
-        o3[0] = FinishD(a30, xr[3], w0r, k, kk, b0[3], b1[3], j0);
-        o3[1] = FinishD(a31, xr[3], w1r, k, kk, b0[3], b1[3], j0 + 1);
+        o0[0] = FinishSum(s[0], xr[0], w0r, k, kk, b0[0], b1[0], j0);
+        o0[1] = FinishSum(s[1], xr[0], w1r, k, kk, b0[0], b1[0], j0 + 1);
+        o1[0] = FinishSum(s[2], xr[1], w0r, k, kk, b0[1], b1[1], j0);
+        o1[1] = FinishSum(s[3], xr[1], w1r, k, kk, b0[1], b1[1], j0 + 1);
+        o2[0] = FinishSum(s[4], xr[2], w0r, k, kk, b0[2], b1[2], j0);
+        o2[1] = FinishSum(s[5], xr[2], w1r, k, kk, b0[2], b1[2], j0 + 1);
+        o3[0] = FinishSum(s[6], xr[3], w0r, k, kk, b0[3], b1[3], j0);
+        o3[1] = FinishSum(s[7], xr[3], w1r, k, kk, b0[3], b1[3], j0 + 1);
       }
       for (int64_t j = np * kGemmNr; j < n; ++j) {
         for (int64_t r = 0; r < kGemmMr; ++r) {
@@ -713,6 +744,52 @@ void GemmBlocked(const double* x, int64_t ldx, const PackedMatrix& w,
   }
 }
 
+// Output panels [p_begin, p_end) of LinearRowOutputMajor. Lane l of
+// accumulator g holds output p * kOutBlock + 8g + l and runs GemmAccBT's
+// scalar sequence for it: a float product, widened exactly, added to a
+// double sum that starts at 0.0, in ascending kk. The float product lanes
+// are plain IEEE multiplies, and the widening between product and sum
+// leaves nothing to contract into an FMA.
+DEEPST_INFER_CLONES
+void OutputMajorPanels(const float* x, const float* panels, const float* bias,
+                       float* out, int64_t k, int64_t n, int64_t p_begin,
+                       int64_t p_end) {
+  static_assert(kOutBlock == 32, "four 8-lane accumulators per panel");
+  for (int64_t p = p_begin; p < p_end; ++p) {
+    const float* pp = panels + p * k * kOutBlock;
+    Vec8 a0 = kZero8, a1 = kZero8, a2 = kZero8, a3 = kZero8;
+    for (int64_t kk = 0; kk < k; ++kk, pp += kOutBlock) {
+      const float xk = x[kk];
+      VecF8x32 w0, w1, w2, w3;
+      std::memcpy(&w0, pp, sizeof(w0));
+      std::memcpy(&w1, pp + 8, sizeof(w1));
+      std::memcpy(&w2, pp + 16, sizeof(w2));
+      std::memcpy(&w3, pp + 24, sizeof(w3));
+      a0 += __builtin_convertvector(xk * w0, Vec8);
+      a1 += __builtin_convertvector(xk * w1, Vec8);
+      a2 += __builtin_convertvector(xk * w2, Vec8);
+      a3 += __builtin_convertvector(xk * w3, Vec8);
+    }
+    double sums[kOutBlock];
+    std::memcpy(sums, &a0, sizeof(a0));
+    std::memcpy(sums + 8, &a1, sizeof(a1));
+    std::memcpy(sums + 16, &a2, sizeof(a2));
+    std::memcpy(sums + 24, &a3, sizeof(a3));
+    const int64_t j0 = p * kOutBlock;
+    const int64_t lanes = std::min(kOutBlock, n - j0);
+    for (int64_t l = 0; l < lanes; ++l) {
+      // ops::Linear's epilogue: the cast added onto the zeroed output, then
+      // AddRowBroadcast's `+= 1.0f * bias`.
+      float v = 0.0f + static_cast<float>(sums[l]);
+      if (bias != nullptr) v += 1.0f * bias[j0 + l];
+      out[j0 + l] = v;
+    }
+  }
+}
+
+// Panels per LinearRowOutputMajor work chunk (512 outputs).
+inline constexpr int64_t kOutPanelGrain = 16;
+
 }  // namespace
 
 void ToDouble(const float* src, double* dst, int64_t n) {
@@ -926,6 +1003,70 @@ void GemvForwardRowBias(const double* x, int64_t ldx, const PackedMatrix& w,
                            bias, bias2, bias_row, out, k, n, begin, end);
       });
       return;
+  }
+}
+
+OutputMajorMatrix OutputMajorMatrix::Pack(const float* w, int64_t rows,
+                                          int64_t cols) {
+  OutputMajorMatrix p;
+  p.rows = rows;
+  p.cols = cols;
+  const int64_t np = NumChunks(rows, kOutBlock);
+  p.panels.resize(static_cast<size_t>(np * cols * kOutBlock));  // zeroed
+  // Tile by tile: panel i's source is the contiguous kOutBlock x cols block
+  // of rows [i * kOutBlock, ...), small enough to stay in L1 while it is
+  // read column by column and written out contiguously.
+  for (int64_t i = 0; i < np; ++i) {
+    const float* src = w + i * kOutBlock * cols;
+    float* dst = p.panels.data() + i * cols * kOutBlock;
+    const int64_t lanes = std::min(kOutBlock, rows - i * kOutBlock);
+    for (int64_t kk = 0; kk < cols; ++kk, dst += kOutBlock) {
+      for (int64_t l = 0; l < lanes; ++l) dst[l] = src[l * cols + kk];
+    }
+  }
+  return p;
+}
+
+void LinearRowOutputMajor(const float* x, const OutputMajorMatrix& w,
+                          const float* bias, float* out) {
+  ParallelFor(NumChunks(w.rows, kOutBlock), kOutPanelGrain,
+              [&](int64_t p0, int64_t p1) {
+                OutputMajorPanels(x, w.panels.data(), bias, out, w.cols,
+                                  w.rows, p0, p1);
+              });
+}
+
+MlpView MlpView::Of(const Mlp& mlp) {
+  DEEPST_CHECK(mlp.activation() == Activation::kLeakyRelu);
+  MlpView v;
+  for (size_t l = 0; l < mlp.num_layers(); ++l) {
+    const Tensor& w = mlp.layer(l).weight();
+    v.weights.push_back(OutputMajorMatrix::Pack(w.data(), w.dim(0), w.dim(1)));
+    v.biases.push_back(mlp.layer(l).bias());
+  }
+  return v;
+}
+
+size_t MlpView::PackedBytes() const {
+  size_t bytes = 0;
+  for (const OutputMajorMatrix& w : weights) bytes += w.PackedBytes();
+  return bytes;
+}
+
+void MlpView::Forward(const float* x, float* out) const {
+  std::vector<float> hidden, next;
+  const float* in = x;
+  for (size_t l = 0; l < weights.size(); ++l) {
+    const bool last = l + 1 == weights.size();
+    if (!last) next.resize(static_cast<size_t>(weights[l].rows));
+    float* dst = last ? out : next.data();
+    LinearRowOutputMajor(in, weights[l],
+                         biases[l] != nullptr ? biases[l]->data() : nullptr,
+                         dst);
+    if (last) break;
+    for (float& v : next) v = v > 0 ? v : kLeakyReluSlope * v;
+    hidden.swap(next);
+    in = hidden.data();
   }
 }
 

@@ -159,7 +159,9 @@ struct PackedMatrix {
 // each element still accumulates in the chunk kernels' exact lane order
 // (8-lane pairwise double for kDouble, source-fixed 16-lane float for
 // bf16/int8), so the blocked path is bitwise identical to the chunk path
-// for every precision — it is purely a bandwidth optimization.
+// for every precision — it is purely a bandwidth optimization. The double
+// tile reduces its eight accumulators together (a transposed pairwise
+// tree, each sum in the chunk kernel's pairing order).
 void GemvForward(const double* x, int64_t ldx, const PackedMatrix& w,
                  const float* bias, const float* bias2, float* out, int64_t m,
                  int64_t n);
@@ -168,6 +170,51 @@ void GemvForward(const double* x, int64_t ldx, const PackedMatrix& w,
 void GemvForwardRowBias(const double* x, int64_t ldx, const PackedMatrix& w,
                         const float* bias, const float* bias2,
                         const int* bias_row, float* out, int64_t m, int64_t n);
+
+// Outputs per panel of an OutputMajorMatrix: LinearRowOutputMajor keeps one
+// panel's outputs in vector accumulators across the whole K loop.
+inline constexpr int64_t kOutBlock = 32;
+
+// A float Linear weight [rows = outputs, cols = inputs] packed output-major
+// for single-row inference, in panels of kOutBlock consecutive outputs:
+//   panels[p][kk][l] = w[(p * kOutBlock + l) * cols + kk],
+// zero past `rows` in the last panel. A panel's source is one contiguous
+// kOutBlock x cols tile of w, so packing transposes tile by tile in cache,
+// and the kernel streams the pack front to back exactly once.
+struct OutputMajorMatrix {
+  int64_t rows = 0;
+  int64_t cols = 0;
+  std::vector<float> panels;
+
+  static OutputMajorMatrix Pack(const float* w, int64_t rows, int64_t cols);
+  size_t PackedBytes() const { return panels.size() * sizeof(float); }
+};
+
+// One activation row through a Linear layer with nn::ops::Linear's
+// arithmetic, vectorized across outputs:
+//   out[j] = (0.0f + float(sum_kk double(x[kk] * w[j, kk]))) + 1.0f * bias[j]
+// -- a float product per tap, a double sum in ascending kk (GemmAccBT into
+// a zeroed row), then AddRowBroadcast's bias add, skipped for a null bias.
+// Each lane runs one output's scalar sequence, so every element is bitwise
+// ops::Linear's for every ISA clone.
+void LinearRowOutputMajor(const float* x, const OutputMajorMatrix& w,
+                          const float* bias, float* out);
+
+// A leaky-ReLU nn::Mlp (the proxy encoder's kind; checked by Of) packed
+// output-major, layer by layer, its biases read in place from the model.
+// Forward repeats Mlp::Forward element for element -- each layer through
+// LinearRowOutputMajor, ops::LeakyRelu's float expression between them --
+// so its output row is bitwise the autodiff forward's.
+struct MlpView {
+  std::vector<OutputMajorMatrix> weights;
+  std::vector<const Tensor*> biases;  // per layer; null without a bias
+
+  static MlpView Of(const Mlp& mlp);
+  int64_t out_dim() const { return weights.back().rows; }
+  size_t PackedBytes() const;
+  // x: [weights[0].cols], out: [out_dim()].
+  void Forward(const float* x, float* out) const;
+};
 
 // Fused GRU gate update (PyTorch gate layout, matching nn::GruCell::Step):
 //   r = sigmoid(gi[:, 0:H]  + gh[:, 0:H])

@@ -24,7 +24,7 @@ VarPtr Activate(const VarPtr& x, Activation act) {
     case Activation::kRelu:
       return ops::Relu(x);
     case Activation::kLeakyRelu:
-      return ops::LeakyRelu(x);
+      return ops::LeakyRelu(x, kLeakyReluSlope);
     case Activation::kTanh:
       return ops::Tanh(x);
     case Activation::kSigmoid:

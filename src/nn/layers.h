@@ -34,6 +34,8 @@ class LinearLayer : public Module {
 };
 
 enum class Activation { kNone, kRelu, kLeakyRelu, kTanh, kSigmoid };
+// Negative slope of Activation::kLeakyRelu.
+inline constexpr float kLeakyReluSlope = 0.01f;
 
 // Multi-layer perceptron with a shared hidden trunk; hidden layers use
 // `activation`, the output layer is linear.
@@ -49,6 +51,11 @@ class Mlp : public Module {
   VarPtr ForwardHidden(const VarPtr& x) const;
   // Applies only the last (output) layer.
   VarPtr ForwardOutput(const VarPtr& h) const;
+
+  // Layer views for the graph-free inference path (nn/infer).
+  size_t num_layers() const { return layers_.size(); }
+  const LinearLayer& layer(size_t i) const { return *layers_[i]; }
+  Activation activation() const { return activation_; }
 
  private:
   std::vector<std::unique_ptr<LinearLayer>> layers_;

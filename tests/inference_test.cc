@@ -1,11 +1,14 @@
 // Coverage of the graph-free inference engine (core/infer): parity with the
 // autodiff reference path across every ablation config, beam/greedy
 // equivalence, bitwise thread-count invariance, batched-vs-individual
-// scoring identity, the zero-allocation steady state, and concurrent use of
-// the model's session pool.
+// scoring identity, the zero-allocation steady state, concurrent use of
+// the model's session pool, and MakeContext's graph-free proxy term against
+// the autodiff composition.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,9 @@
 #include "core/route_ranking.h"
 #include "eval/world.h"
 #include "nn/backend.h"
+#include "nn/infer/forward.h"
+#include "nn/ops.h"
+#include "nn/serialize.h"
 #include "nn/variable.h"
 #include "roadnet/grid_city.h"
 
@@ -561,6 +567,105 @@ TEST(InferenceMultiQueryTest, BeamMultiDeadlinesArePerItem) {
   EXPECT_TRUE(world.net().ValidateRoute(items[0].route).ok());
   EXPECT_FALSE(items[1].budget_hit);
   EXPECT_EQ(items[1].route, unbudgeted);
+}
+
+// -- Graph-free proxy context --------------------------------------------------
+
+bool BitwiseEqual(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// A DeepST-C model (proxies, no traffic: the proxy is MakeContext's only
+// rng consumer) whose K = 45 fills one output panel of the packed encoder
+// and part of a second.
+DeepSTConfig ProxyContextConfig() {
+  DeepSTConfig cfg = baselines::DeepStCConfigOf(SmallConfig());
+  cfg.num_proxies = 45;
+  EXPECT_NE(cfg.num_proxies % nn::infer::kOutBlock, 0);
+  return cfg;
+}
+
+// Destinations spread over the network's box and a margin around it.
+std::vector<RouteQuery> RandomDestinationQueries(int n, uint64_t seed) {
+  const geo::BoundingBox& box = TestWorld().net().bounds();
+  const double w = box.max.x - box.min.x;
+  const double h = box.max.y - box.min.y;
+  util::Rng rng(seed);
+  std::vector<RouteQuery> queries(static_cast<size_t>(n));
+  for (RouteQuery& q : queries) {
+    q.origin = 0;
+    q.destination = {rng.Uniform(box.min.x - 0.1 * w, box.max.x + 0.1 * w),
+                     rng.Uniform(box.min.y - 0.1 * h, box.max.y + 0.1 * h)};
+  }
+  return queries;
+}
+
+nn::VarPtr BetaWeight(const DeepSTModel& model) {
+  for (const nn::NamedTensor& p : nn::SnapshotParameters(model)) {
+    if (p.first == "beta/weight") return nn::Constant(p.second);
+  }
+  ADD_FAILURE() << "no beta/weight parameter";
+  return nullptr;
+}
+
+// MakeContext computes W pi off the autodiff graph (packed encoder, first-
+// max argmax, row gather); dest_repr and dest_term must equal the
+// evaluation-mode composition EncodeLogits -> ModePi -> Embed -> beta
+// bitwise, for every destination.
+TEST(ProxyContextTest, MapContextIsBitwiseTheAutodiffComposition) {
+  const DeepSTConfig cfg = ProxyContextConfig();
+  DeepSTModel model(TestWorld().net(), cfg, nullptr);
+  const DestinationProxyModel& proxy = *model.proxy_model();
+  const nn::VarPtr beta = BetaWeight(model);
+  std::set<int> proxies_hit;
+  for (const RouteQuery& q : RandomDestinationQueries(300, 81)) {
+    util::Rng rng(1);
+    const PredictionContext ctx = model.MakeContext(q, &rng);
+    nn::NoGradGuard no_grad;
+    const nn::VarPtr logits =
+        proxy.EncodeLogits(proxy.NormalizeDestinations({q.destination}));
+    const nn::VarPtr repr = proxy.Embed(proxy.ModePi(logits));
+    const nn::VarPtr term = nn::ops::Linear(repr, beta, nullptr);
+    ASSERT_TRUE(ctx.has_dest);
+    EXPECT_TRUE(BitwiseEqual(ctx.dest_repr, repr->value()));
+    EXPECT_TRUE(BitwiseEqual(ctx.dest_term, term->value()));
+    proxies_hit.insert(static_cast<int>(logits->value().ArgMax()));
+  }
+  // The destinations must exercise more than one proxy row.
+  EXPECT_GT(proxies_hit.size(), 3u);
+}
+
+// Sampled inference (map_prediction = false) takes the same logits from
+// the packed encoder and hands them to SamplePi, so the context equals the
+// composition EncodeLogits -> SamplePi -> Embed -> beta bitwise and the rng
+// ends in the same state.
+TEST(ProxyContextTest, SampledContextMakesTheAutodiffDraws) {
+  DeepSTConfig cfg = ProxyContextConfig();
+  cfg.map_prediction = false;
+  DeepSTModel model(TestWorld().net(), cfg, nullptr);
+  const DestinationProxyModel& proxy = *model.proxy_model();
+  const nn::VarPtr beta = BetaWeight(model);
+  uint64_t seed = 500;
+  for (const RouteQuery& q : RandomDestinationQueries(60, 82)) {
+    util::Rng fast_rng(++seed), ref_rng(seed);
+    const PredictionContext ctx = model.MakeContext(q, &fast_rng);
+    nn::NoGradGuard no_grad;
+    const nn::VarPtr logits =
+        proxy.EncodeLogits(proxy.NormalizeDestinations({q.destination}));
+    const nn::VarPtr repr =
+        proxy.Embed(proxy.SamplePi(logits, cfg.gumbel_tau, &ref_rng));
+    const nn::VarPtr term = nn::ops::Linear(repr, beta, nullptr);
+    ASSERT_TRUE(ctx.has_dest);
+    EXPECT_TRUE(BitwiseEqual(ctx.dest_repr, repr->value()));
+    EXPECT_TRUE(BitwiseEqual(ctx.dest_term, term->value()));
+    const util::Rng::State a = fast_rng.GetState();
+    const util::Rng::State b = ref_rng.GetState();
+    EXPECT_EQ(std::memcmp(a.s, b.s, sizeof(a.s)), 0);
+    EXPECT_EQ(a.has_cached_gaussian, b.has_cached_gaussian);
+    EXPECT_EQ(a.cached_gaussian, b.cached_gaussian);
+  }
 }
 
 }  // namespace

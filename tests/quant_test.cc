@@ -1,7 +1,8 @@
 // Coverage of the quantized inference kernels and the transition memo
 // (fast path round two): packing round-trips, GEMV parity against the
 // dequantized reference, batch-composition invariance, end-to-end accuracy
-// parity of the reduced precisions against the double path, bitwise memo
+// parity of the reduced precisions against the double path, the blocked
+// and output-major kernels bitwise against their references, bitwise memo
 // parity across greedy/beam/multi entry points, epoch invalidation on
 // weight swaps, and exact concurrent hit accounting.
 #include <gtest/gtest.h>
@@ -18,7 +19,9 @@
 #include "nn/backend.h"
 #include "nn/infer/forward.h"
 #include "nn/infer/memo.h"
+#include "nn/ops.h"
 #include "nn/serialize.h"
+#include "nn/variable.h"
 #include "util/rng.h"
 
 namespace deepst {
@@ -336,6 +339,102 @@ TEST(GemmTest, BatchCompositionThroughBlockedPath) {
                             static_cast<size_t>(n) * sizeof(float)),
                 0)
           << nn::infer::PrecisionName(prec) << " row " << i;
+    }
+  }
+}
+
+// The batched GRU-step shapes the served models run (k in {32, 64} hidden
+// columns, n = 3H = 192 gate rows, no K tail, full and ragged bands): every
+// full 4x2 tile goes through the transposed lane-tree epilogue. Row 1 is
+// all zeros and row 2 all negative zeros, so zero products and signed-zero
+// sums go through the tree too. In row 3, lanes 0 and 4 carry +-2^40-scale
+// products that cancel only in the tree's last add, so the low bits of the
+// result depend on the exact pairing of every earlier add (any other
+// association of the eight lanes reads differently in float).
+TEST(GemmTest, BlockedMatchesChunkBitwiseAtServedShapes) {
+  util::Rng rng(16);
+  const int64_t n = 192;
+  for (const int64_t k : {int64_t{32}, int64_t{64}}) {
+    nn::Tensor wt = nn::Tensor::Uniform({n, k}, -1.0, 1.0, &rng);
+    for (int64_t j = 0; j < n; ++j) wt.at(j, 4) = -wt.at(j, 0);
+    nn::Tensor bias = nn::Tensor::Uniform({n}, -1.0, 1.0, &rng);
+    const PackedMatrix bare =
+        PackedMatrix::Pack(wt.data(), n, k, k, Precision::kDouble);
+    PackedMatrix blocked =
+        PackedMatrix::Pack(wt.data(), n, k, k, Precision::kDouble);
+    blocked.BuildPanels();
+    for (const int64_t m : {int64_t{4}, int64_t{28}, int64_t{30},
+                            int64_t{32}}) {
+      std::vector<double> x(static_cast<size_t>(m * k));
+      for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
+      for (int64_t kk = 0; kk < k; ++kk) {
+        x[static_cast<size_t>(1 * k + kk)] = 0.0;
+        x[static_cast<size_t>(2 * k + kk)] = -0.0;
+      }
+      x[static_cast<size_t>(3 * k + 0)] = std::ldexp(1.0, 40);
+      x[static_cast<size_t>(3 * k + 4)] = std::ldexp(1.0, 40);
+      for (const float* b : {static_cast<const float*>(nullptr),
+                             static_cast<const float*>(bias.data())}) {
+        std::vector<float> chunk(static_cast<size_t>(m * n));
+        std::vector<float> gemm(static_cast<size_t>(m * n));
+        nn::infer::GemvForward(x.data(), k, bare, b, nullptr, chunk.data(),
+                               m, n);
+        nn::infer::GemvForward(x.data(), k, blocked, b, nullptr, gemm.data(),
+                               m, n);
+        EXPECT_EQ(std::memcmp(chunk.data(), gemm.data(),
+                              chunk.size() * sizeof(float)),
+                  0)
+            << "k=" << k << " m=" << m << " bias=" << (b != nullptr);
+      }
+    }
+  }
+}
+
+// The output-major row kernel repeats nn::ops::Linear's arithmetic element
+// by element, so it must equal it bitwise: output counts below, equal to,
+// at a multiple of and past the panel width, input widths of the proxy
+// encoder's two layers, with and without bias, on random rows, on an
+// all-zero row (whose sums meet the `0.0f +` of ops::Linear's zeroed
+// output), and on a row whose first and last products are +-2^30-scale and
+// cancel, so the result keeps the rounding of every add in between (any
+// other summation order reads differently).
+TEST(OutputMajorTest, LinearRowIsBitwiseOpsLinear) {
+  util::Rng rng(17);
+  const int64_t block = nn::infer::kOutBlock;
+  for (const int64_t in : {int64_t{2}, int64_t{64}}) {
+    for (const int64_t out : {int64_t{7}, block, 2 * block, block + 13,
+                              int64_t{71}}) {
+      nn::Tensor wv = nn::Tensor::Uniform({out, in}, -1.5, 1.5, &rng);
+      for (int64_t j = 0; j < out; ++j) wv.at(j, in - 1) = wv.at(j, 0);
+      const nn::VarPtr w = nn::Constant(std::move(wv));
+      const nn::VarPtr b =
+          nn::Constant(nn::Tensor::Uniform({out}, -1.0, 1.0, &rng));
+      const nn::infer::OutputMajorMatrix packed =
+          nn::infer::OutputMajorMatrix::Pack(w->value().data(), out, in);
+      for (int row = 0; row < 5; ++row) {
+        nn::Tensor x = row == 0 ? nn::Tensor::Zeros({1, in})
+                                : nn::Tensor::Uniform({1, in}, -3.0, 3.0,
+                                                      &rng);
+        if (row == 4) {
+          x[0] = std::ldexp(1.0f, 30);
+          x[in - 1] = -std::ldexp(1.0f, 30);
+        }
+        for (const bool with_bias : {false, true}) {
+          nn::NoGradGuard no_grad;
+          const nn::Tensor ref =
+              nn::ops::Linear(nn::Constant(x), w, with_bias ? b : nullptr)
+                  ->value();
+          std::vector<float> got(static_cast<size_t>(out));
+          nn::infer::LinearRowOutputMajor(
+              x.data(), packed, with_bias ? b->value().data() : nullptr,
+              got.data());
+          EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "in=" << in << " out=" << out << " row=" << row
+              << " bias=" << with_bias;
+        }
+      }
     }
   }
 }

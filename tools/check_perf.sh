@@ -54,6 +54,10 @@
 # change a result, at any precision); on AVX2 hardware also asserts the
 # batched-beam double speedup is at least min-gemm-speedup (default 1.5).
 #
+# Proxy logits: runs BM_ProxyLogits (-> BENCH_proxy.json; the proxy
+# encoder's output layer through ops::Linear vs the output-major row kernel
+# MakeContext uses) and asserts every row's bitwise_equal field.
+#
 # DEEPST_FAST=1 keeps the other runs small; the speedups also hold at the
 # full model size (docs/inference.md, docs/training-perf.md).
 set -euo pipefail
@@ -315,6 +319,19 @@ if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
 else
   echo "SKIP: gemm speedup gate (no avx2; measured ${gemm_speedup}x)"
 fi
+
+echo "== proxy logits (ops::Linear vs the output-major row kernel) =="
+(cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_ProxyLogits')
+
+PROXY_JSON="$BUILD_DIR/bench_out/BENCH_proxy.json"
+[[ -f "$PROXY_JSON" ]] || { echo "FAIL: $PROXY_JSON not written" >&2; exit 1; }
+not_bitwise=$(jq -r '[.[] | select(.bitwise_equal != true) | .variant] | join(", ")' \
+  "$PROXY_JSON")
+if [[ -n "$not_bitwise" ]]; then
+  echo "FAIL: output-major proxy logits differ from ops::Linear: $not_bitwise" >&2
+  exit 1
+fi
+echo "OK: output-major proxy logits bitwise identical to ops::Linear"
 
 echo "== parity / regression tests =="
 "$BUILD_DIR"/tests/inference_test

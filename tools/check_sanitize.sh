@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests under a sanitizer and runs them.
 #
-#   tools/check_sanitize.sh [thread|address] [build-dir]
+#   tools/check_sanitize.sh [thread|address|undefined] [build-dir]
 #
 # The sanitizer (default: thread) maps to the DEEPST_SANITIZE CMake option;
 # the instrumented tree lives in its own build directory (default
 # build-<sanitizer>/) so it never collides with the regular build.
+# "undefined" is UBSan built with -fno-sanitize-recover=undefined, so any
+# report aborts the test binary.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 SANITIZER="${1:-${DEEPST_SANITIZE:-thread}}"
 case "$SANITIZER" in
-  thread|address) ;;
-  *) echo "usage: tools/check_sanitize.sh [thread|address] [build-dir]" >&2
+  thread|address|undefined) ;;
+  *) echo "usage: tools/check_sanitize.sh [thread|address|undefined] [build-dir]" >&2
      exit 2 ;;
 esac
 BUILD_DIR="${2:-build-$SANITIZER}"
@@ -31,6 +33,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
 # halt_on_error makes a reported race/issue fail the script, not just print.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
+export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 export DEEPST_FAST=1
 
 "$BUILD_DIR"/tests/parallel_test
