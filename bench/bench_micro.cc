@@ -3,6 +3,8 @@
 // scoring are O(|r|) in the route length.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -397,6 +399,165 @@ void BM_ProxyLogits(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProxyLogits)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+// GruGates' vector expf/tanhf against libm, and the gate kernel against the
+// scalar libm composition it replaced:
+//   - an exhaustive check: ExpLanes and TanhLanes against std::exp and
+//     std::tanh over all 2^32 float bit patterns, counting mismatching bits
+//     (full size even under DEEPST_FAST; ~30 s on 4 threads);
+//   - GruGates ns per unit at H = 64, batches 1/4/16/32, single-threaded,
+//     kernel vs the scalar loop below, with a bitwise output comparison.
+// Exported as bench_out/BENCH_gates.json; tools/check_perf.sh fails unless
+// every row is bitwise_equal.
+void ScalarGates(const nn::Tensor& gi, const nn::Tensor& gh,
+                 const nn::Tensor& h_prev, nn::Tensor* h_out) {
+  const int64_t hd = h_prev.dim(1);
+  for (int64_t b = 0; b < gi.dim(0); ++b) {
+    const float* g = gi.data() + b * 3 * hd;
+    const float* u = gh.data() + b * 3 * hd;
+    const float* hrow = h_prev.data() + b * hd;
+    float* orow = h_out->data() + b * hd;
+    for (int64_t j = 0; j < hd; ++j) {
+      const float r = 1.0f / (1.0f + std::exp(-(g[j] + u[j])));
+      const float z = 1.0f / (1.0f + std::exp(-(g[hd + j] + u[hd + j])));
+      const float n = std::tanh(g[2 * hd + j] + r * u[2 * hd + j]);
+      orow[j] = (1.0f - z) * n + z * hrow[j];
+    }
+  }
+}
+
+void BM_GateMath(benchmark::State& state) {
+  struct Row {
+    std::string variant;
+    int64_t batch = 0;
+    uint64_t inputs = 0;
+    uint64_t mismatches = 0;
+    double ns_per_unit = 0.0;
+    double scalar_ns_per_unit = 0.0;
+  };
+  std::vector<Row> rows;
+
+  // Exhaustive: each worker takes every num_workers-th chunk of bit patterns
+  // and counts, per function, the outputs whose bits differ from libm's.
+  struct LaneFn {
+    const char* variant;
+    void (*lanes)(const float*, float*, int64_t);
+    float (*libm)(float);
+  };
+  const LaneFn fns[] = {
+      {"expf_all_floats", nn::infer::ExpLanes,
+       [](float v) { return std::exp(v); }},
+      {"tanhf_all_floats", nn::infer::TanhLanes,
+       [](float v) { return std::tanh(v); }}};
+  constexpr uint64_t kChunk = uint64_t{1} << 16;
+  const int num_workers = static_cast<int>(
+      std::min<unsigned>(4, std::max(1u, std::thread::hardware_concurrency())));
+  std::vector<std::array<uint64_t, 2>> bad(static_cast<size_t>(num_workers),
+                                           {0, 0});
+  util::Stopwatch scan_watch;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < num_workers; ++w) {
+    workers.emplace_back([&, w] {
+      std::vector<float> x(kChunk), y(kChunk);
+      for (uint64_t base = static_cast<uint64_t>(w) * kChunk;
+           base < (uint64_t{1} << 32); base += num_workers * kChunk) {
+        for (uint64_t i = 0; i < kChunk; ++i) {
+          const uint32_t bits = static_cast<uint32_t>(base + i);
+          std::memcpy(&x[i], &bits, sizeof(float));
+        }
+        for (size_t f = 0; f < 2; ++f) {
+          fns[f].lanes(x.data(), y.data(), kChunk);
+          uint64_t chunk_bad = 0;
+          for (uint64_t i = 0; i < kChunk; ++i) {
+            const float want = fns[f].libm(x[i]);
+            chunk_bad += std::memcmp(&want, &y[i], sizeof(float)) != 0;
+          }
+          bad[static_cast<size_t>(w)][f] += chunk_bad;
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  const double scan_seconds = scan_watch.ElapsedSeconds();
+  for (size_t f = 0; f < 2; ++f) {
+    Row row;
+    row.variant = fns[f].variant;
+    row.inputs = uint64_t{1} << 32;
+    for (const auto& worker_bad : bad) row.mismatches += worker_bad[f];
+    rows.push_back(row);
+  }
+
+  // Timing: the served hidden size, single-threaded.
+  const int prev = nn::GetBackendThreads();
+  nn::SetBackendThreads(1);
+  const int64_t hd = 64;
+  for (const int64_t batch : {int64_t{1}, int64_t{4}, int64_t{16},
+                              int64_t{32}}) {
+    util::Rng rng(37);
+    const nn::Tensor gi = nn::Tensor::Uniform({batch, 3 * hd}, -4, 4, &rng);
+    const nn::Tensor gh = nn::Tensor::Uniform({batch, 3 * hd}, -4, 4, &rng);
+    const nn::Tensor h = nn::Tensor::Uniform({batch, hd}, -1, 1, &rng);
+    nn::Tensor out = nn::Tensor::Zeros({batch, hd});
+    nn::Tensor ref = nn::Tensor::Zeros({batch, hd});
+    const int reps = (eval::FastMode() ? 2000 : 20000) / static_cast<int>(batch);
+    const auto time = [reps, batch](const std::function<void()>& fn) {
+      fn();  // warmup
+      double best = 0.0;
+      for (int trial = 0; trial < 3; ++trial) {
+        util::Stopwatch watch;
+        for (int i = 0; i < reps; ++i) fn();
+        const double s = watch.ElapsedSeconds();
+        if (trial == 0 || s < best) best = s;
+      }
+      return best / reps / static_cast<double>(batch * hd) * 1e9;
+    };
+    Row row;
+    row.variant = "gru_gates_h64_b" + std::to_string(batch);
+    row.batch = batch;
+    row.inputs = static_cast<uint64_t>(batch * hd);
+    row.scalar_ns_per_unit = time([&] {
+      ScalarGates(gi, gh, h, &ref);
+      benchmark::DoNotOptimize(ref.data());
+    });
+    row.ns_per_unit = time([&] {
+      nn::infer::GruGates(gi, gh, h, &out);
+      benchmark::DoNotOptimize(out.data());
+    });
+    for (int64_t i = 0; i < batch * hd; ++i) {
+      row.mismatches += std::memcmp(&out[i], &ref[i], sizeof(float)) != 0;
+    }
+    rows.push_back(row);
+  }
+  nn::SetBackendThreads(prev);
+
+  std::ofstream json(OutDir() + "/BENCH_gates.json");
+  json << "[\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    json << "  {\"variant\": \"" << r.variant << "\", \"inputs\": " << r.inputs
+         << ", \"mismatches\": " << r.mismatches;
+    if (r.batch > 0) {
+      const double speedup =
+          r.ns_per_unit > 0.0 ? r.scalar_ns_per_unit / r.ns_per_unit : 0.0;
+      json << ", \"hidden\": " << hd << ", \"batch\": " << r.batch
+           << ", \"ns_per_unit\": " << r.ns_per_unit
+           << ", \"scalar_ns_per_unit\": " << r.scalar_ns_per_unit
+           << ", \"speedup_vs_scalar\": " << speedup;
+      state.counters[r.variant + "_speedup"] = speedup;
+    } else {
+      json << ", \"seconds\": " << scan_seconds << ", \"workers\": "
+           << num_workers;
+    }
+    json << ", \"bitwise_equal\": " << (r.mismatches == 0 ? "true" : "false")
+         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    state.counters[r.variant + "_mismatches"] =
+        static_cast<double>(r.mismatches);
+  }
+  json << "]\n";
+  for (auto _ : state) {
+  }
+}
+BENCHMARK(BM_GateMath)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // What the posterior memo adds to a miss: one hash over the bytes of the
 // [2, side, side] traffic tensor (chengdu-mini's grid is 12x12,

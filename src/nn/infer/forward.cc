@@ -5,32 +5,17 @@
 #include <cstring>
 
 #include "nn/backend.h"
+#include "nn/infer/clones.h"
 #include "nn/kernels.h"
 
-// Runtime ISA dispatch for the GEMV kernel: the 8-lane double loop is plain
-// IEEE arithmetic with a source-fixed accumulation order, so every clone
-// computes bitwise-identical results and the dispatch only affects speed.
-// Disabled under sanitizers (ifunc resolvers run before their runtimes
-// initialize) and off x86-64 ELF targets.
-#if defined(__GNUC__) && defined(__x86_64__) && defined(__ELF__) && \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-#define DEEPST_INFER_CLONES \
-  __attribute__((target_clones("avx512f", "avx2,fma", "default")))
-#else
-#define DEEPST_INFER_CLONES
-#endif
+// The GEMV kernels below are plain IEEE arithmetic with a source-fixed
+// accumulation order; which multiply-adds fuse depends on the clone that
+// runs (nn/infer/clones.h), nothing else does.
 
 namespace deepst {
 namespace nn {
 namespace infer {
 namespace {
-
-// Per-element helpers below MUST be inlined into each target_clones clone:
-// an out-of-line copy would be compiled for the default ISA (and with its
-// own FP-contraction choices), so two call sites of the same helper could
-// produce results differing in the last bit. Forcing the inline keeps every
-// clone's arithmetic self-contained and bitwise reproducible.
-#define DEEPST_FORCE_INLINE inline __attribute__((always_inline))
 
 typedef double Vec8 __attribute__((vector_size(64)));
 typedef int64_t VecI8 __attribute__((vector_size(64)));  // Vec8 shuffle masks
@@ -1068,34 +1053,6 @@ void MlpView::Forward(const float* x, float* out) const {
     hidden.swap(next);
     in = hidden.data();
   }
-}
-
-void GruGates(const Tensor& gi, const Tensor& gh, const Tensor& h_prev,
-              Tensor* h_out) {
-  const int64_t batch = gi.dim(0);
-  const int64_t hd = h_prev.dim(1);
-  DEEPST_DCHECK(gi.dim(1) == 3 * hd && gh.dim(1) == 3 * hd);
-  DEEPST_DCHECK(h_out->dim(0) == batch && h_out->dim(1) == hd);
-  const float* gip = gi.data();
-  const float* ghp = gh.data();
-  const float* hp = h_prev.data();
-  float* op = h_out->data();
-  kernels::RowLoop(batch, [gip, ghp, hp, op, hd](int64_t b) {
-    const float* gi_r = gip + b * 3 * hd;
-    const float* gi_z = gi_r + hd;
-    const float* gi_n = gi_r + 2 * hd;
-    const float* gh_r = ghp + b * 3 * hd;
-    const float* gh_z = gh_r + hd;
-    const float* gh_n = gh_r + 2 * hd;
-    const float* hrow = hp + b * hd;
-    float* orow = op + b * hd;
-    for (int64_t j = 0; j < hd; ++j) {
-      const float r = 1.0f / (1.0f + std::exp(-(gi_r[j] + gh_r[j])));
-      const float z = 1.0f / (1.0f + std::exp(-(gi_z[j] + gh_z[j])));
-      const float n = std::tanh(gi_n[j] + r * gh_n[j]);
-      orow[j] = (1.0f - z) * n + z * hrow[j];
-    }
-  });
 }
 
 GruStackView GruStackView::Of(const StackedGru& gru, int64_t emb_dim,

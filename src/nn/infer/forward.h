@@ -222,9 +222,19 @@ struct MlpView {
 //   n = tanh  (gi[:, 2H:3H] + r * gh[:, 2H:3H])
 //   h_out = (1 - z) * n + z * h_prev
 // gi/gh are [B, 3H] pre-activation batches, h_prev/h_out [B, H]; h_out may
-// not alias gi/gh but may alias h_prev.
+// not alias gi/gh but may alias h_prev. The nonlinearities run 16 units at a
+// time (gates.cc) and give the same bits on every clone, thread count and
+// batch: on glibc 2.36 x86-64 the bits of the float composition above with
+// std::exp / std::tanh (see ExpLanes).
 void GruGates(const Tensor& gi, const Tensor& gh, const Tensor& h_prev,
               Tensor* h_out);
+
+// GruGates' vector expf and tanhf over n floats (y may alias x): glibc
+// 2.36's x86-64 algorithms repeated lane by lane, so y[i] is bitwise
+// std::exp(x[i]) / std::tanh(x[i]) on that C library (BM_GateMath compares
+// all 2^32 inputs) and may differ in the last bit on another.
+void ExpLanes(const float* x, float* y, int64_t n);
+void TanhLanes(const float* x, float* y, int64_t n);
 
 // Per-layer GRU weights, packed once for the GEMV kernel (the biases stay
 // float; they are added after the accumulation). Layer 0 supports the

@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -437,6 +439,165 @@ TEST(OutputMajorTest, LinearRowIsBitwiseOpsLinear) {
       }
     }
   }
+}
+
+// -- GRU gates -----------------------------------------------------------
+
+// The scalar composition GruGates computed before its vector kernel, kept as
+// the specification (this file is built without -march flags, so nothing in
+// it fuses).
+void ReferenceGates(const nn::Tensor& gi, const nn::Tensor& gh,
+                    const nn::Tensor& h_prev, nn::Tensor* h_out) {
+  const int64_t hd = h_prev.dim(1);
+  for (int64_t b = 0; b < gi.dim(0); ++b) {
+    for (int64_t j = 0; j < hd; ++j) {
+      const float r = 1.0f / (1.0f + std::exp(-(gi.at(b, j) + gh.at(b, j))));
+      const float z =
+          1.0f / (1.0f + std::exp(-(gi.at(b, hd + j) + gh.at(b, hd + j))));
+      const float n =
+          std::tanh(gi.at(b, 2 * hd + j) + r * gh.at(b, 2 * hd + j));
+      h_out->at(b, j) = (1.0f - z) * n + z * h_prev.at(b, j);
+    }
+  }
+}
+
+uint32_t FloatBits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+float FloatOfBits(uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+// Runs GruGates in place, as the session does (h_out == h_prev), and
+// returns how many units differ in any bit from ReferenceGates.
+int64_t GateMismatches(const nn::Tensor& gi, const nn::Tensor& gh,
+                       const nn::Tensor& h, const std::string& what) {
+  nn::Tensor ref = nn::Tensor::Zeros({h.dim(0), h.dim(1)});
+  ReferenceGates(gi, gh, h, &ref);
+  nn::Tensor got = h;
+  nn::infer::GruGates(gi, gh, got, &got);
+  int64_t bad = 0;
+  for (int64_t b = 0; b < h.dim(0); ++b) {
+    for (int64_t j = 0; j < h.dim(1); ++j) {
+      if (FloatBits(got.at(b, j)) == FloatBits(ref.at(b, j))) continue;
+      if (bad++ == 0) {
+        const int64_t hd = h.dim(1);
+        ADD_FAILURE() << what << " unit (" << b << ", " << j << "): got "
+                      << got.at(b, j) << " want " << ref.at(b, j)
+                      << " gi r/z/n " << gi.at(b, j) << " "
+                      << gi.at(b, hd + j) << " " << gi.at(b, 2 * hd + j)
+                      << " gh r/z/n " << gh.at(b, j) << " "
+                      << gh.at(b, hd + j) << " " << gh.at(b, 2 * hd + j);
+      }
+    }
+  }
+  return bad;
+}
+
+const int64_t kGateHidden[] = {1, 15, 16, 17, 64, 100};
+
+// Random pre-activations over [-40, 40] (and a narrow [-3, 3] band, where
+// the served gates live) at every batch 1-33 and hidden sizes on, below and
+// past the 16-lane block.
+TEST(GruGatesTest, BitwiseScalarLibmCompositionInPlace) {
+  util::Rng rng(29);
+  for (const double range : {3.0, 40.0}) {
+    for (const int64_t hd : kGateHidden) {
+      for (int64_t batch = 1; batch <= 33; ++batch) {
+        const nn::Tensor gi =
+            nn::Tensor::Uniform({batch, 3 * hd}, -range, range, &rng);
+        const nn::Tensor gh =
+            nn::Tensor::Uniform({batch, 3 * hd}, -range, range, &rng);
+        const nn::Tensor h = nn::Tensor::Uniform({batch, hd}, -1, 1, &rng);
+        EXPECT_EQ(GateMismatches(gi, gh, h,
+                                 "range " + std::to_string(range) + " B=" +
+                                     std::to_string(batch) + " H=" +
+                                     std::to_string(hd)),
+                  0);
+      }
+    }
+  }
+}
+
+// Every float within +-64 ulps of each branch boundary of glibc's expf
+// (|x| = 88, 88.72, 103.28, 103.97) and of fdlibm's tanhf and the
+// expm1f(+-2|x|) it calls (|x| = 2^-55, 2^-26, 0.5 ln2 / 2, 1.5 ln2 / 2, 1,
+// 27 ln2 / 2, 22), both signs, plus +-0, subnormals, +-inf and NaN. Each
+// probe is fed to one gate of a unit so that gate sees it exactly (the
+// paired gh is -0) while the unit's other gates draw random values, and
+// the probes rotate through all three gates, every lane position and the
+// same batch/hidden shapes as above.
+TEST(GruGatesTest, BitwiseAtLibmBranchBoundaries) {
+  const float boundaries[] = {
+      88.0f,       0x1.62e42ep6f,  0x1.9d1d9ep6f,  0x1.9fe368p6f,
+      0x1p-55f,    0x1p-26f,       0x1.62e430p-3f, 0x1.0a2b24p-1f,
+      1.0f,        0x1.2b7088p3f,  22.0f};
+  std::vector<float> probes;
+  for (const float edge : boundaries) {
+    for (const float sign : {1.0f, -1.0f}) {
+      const uint32_t mid = FloatBits(sign * edge);
+      for (uint32_t u = mid - 64; u <= mid + 64; ++u) {
+        probes.push_back(FloatOfBits(u));
+      }
+    }
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float v : {0.0f, -0.0f, inf, -inf,
+                        std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::denorm_min(),
+                        -std::numeric_limits<float>::denorm_min(),
+                        FloatOfBits(0x00400000u), FloatOfBits(0x807fffffu),
+                        std::numeric_limits<float>::max(),
+                        -std::numeric_limits<float>::max(),
+                        // The only two floats whose expf changes when its
+                        // r = fma(InvLn2N, xd, -kd) is split into a multiply
+                        // and an add (an exhaustive search; splitting any of
+                        // its other four fmas changes no result at all).
+                        0x1.04845ep+5f, -0x1.f8cbb2p+5f}) {
+    probes.push_back(v);
+  }
+  const int64_t num_probes = static_cast<int64_t>(probes.size());
+
+  // The lane functions alone, on the same probes.
+  std::vector<float> got_exp(probes.size()), got_tanh(probes.size());
+  nn::infer::ExpLanes(probes.data(), got_exp.data(), num_probes);
+  nn::infer::TanhLanes(probes.data(), got_tanh.data(), num_probes);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(FloatBits(got_exp[i]), FloatBits(std::exp(probes[i])))
+        << "exp(" << probes[i] << ")";
+    EXPECT_EQ(FloatBits(got_tanh[i]), FloatBits(std::tanh(probes[i])))
+        << "tanh(" << probes[i] << ")";
+  }
+
+  util::Rng rng(31);
+  int64_t unit = 0;
+  for (const int64_t hd : kGateHidden) {
+    for (int64_t batch = 1; batch <= 33; ++batch) {
+      nn::Tensor gi = nn::Tensor::Uniform({batch, 3 * hd}, -8, 8, &rng);
+      nn::Tensor gh = nn::Tensor::Uniform({batch, 3 * hd}, -8, 8, &rng);
+      const nn::Tensor h = nn::Tensor::Uniform({batch, hd}, -1, 1, &rng);
+      for (int64_t b = 0; b < batch; ++b) {
+        for (int64_t j = 0; j < hd; ++j, ++unit) {
+          const float v = probes[static_cast<size_t>(unit % num_probes)];
+          const int64_t gate = (unit / num_probes) % 3;
+          const int64_t col = gate * hd + j;
+          // r and z exponentiate -(gi + gh), n takes tanh of gi + r * gh.
+          gi.at(b, col) = gate == 2 ? v : -v;
+          gh.at(b, col) = -0.0f;
+        }
+      }
+      EXPECT_EQ(GateMismatches(gi, gh, h,
+                               "probes B=" + std::to_string(batch) +
+                                   " H=" + std::to_string(hd)),
+                0);
+    }
+  }
+  EXPECT_GT(unit, 3 * num_probes);  // every probe reached every gate
 }
 
 TEST(GemmTest, PanelPackingRoundTrip) {

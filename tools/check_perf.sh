@@ -58,6 +58,15 @@
 # encoder's output layer through ops::Linear vs the output-major row kernel
 # MakeContext uses) and asserts every row's bitwise_equal field.
 #
+# GRU gates: runs BM_GateMath (-> BENCH_gates.json; the gate kernel's vector
+# expf/tanhf against std::exp/std::tanh over all 2^32 floats, ~30 s on 4
+# threads even under DEEPST_FAST, and GruGates against the scalar libm
+# composition at H = 64) and asserts every row's bitwise_equal field. Its
+# timings are reported, not gated.
+#
+# Every section runs even when an earlier gate fails; the script then exits
+# nonzero listing each failed gate.
+#
 # DEEPST_FAST=1 keeps the other runs small; the speedups also hold at the
 # full model size (docs/inference.md, docs/training-perf.md).
 set -euo pipefail
@@ -78,264 +87,321 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_micro bench_scale \
 
 export DEEPST_FAST=1
 
+# A failed gate is recorded and the remaining sections still run.
+FAILED=()
+fail() {
+  echo "FAIL: $*" >&2
+  FAILED+=("$*")
+}
+
 echo "== inference sweep (graph vs fast, threads 1/2/4) =="
 # The benches write bench_out/ relative to their working directory; run them
 # from the build dir so the JSON lands where this script (and .gitignore)
 # expect it.
-(cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_InferenceSweep')
+inference_gates() {
+  (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_InferenceSweep') ||
+    fail "BM_InferenceSweep exited nonzero"
 
-JSON="$BUILD_DIR/bench_out/BENCH_inference.json"
-[[ -f "$JSON" ]] || { echo "FAIL: $JSON not written" >&2; exit 1; }
+  local JSON="$BUILD_DIR/bench_out/BENCH_inference.json"
+  [[ -f "$JSON" ]] || { fail "$JSON not written"; return; }
 
-fail=0
-for workload in score_route_len19 predict_route; do
-  speedup=$(jq -r --arg w "$workload" \
-    '.[] | select(.engine == "fast" and .workload == $w and .threads == 1)
-         | .speedup_vs_graph' "$JSON")
-  ok=$(jq -n --argjson s "$speedup" --argjson min "$MIN_SPEEDUP" '$s >= $min')
-  if [[ "$ok" != "true" ]]; then
-    echo "FAIL: $workload single-thread speedup ${speedup}x < ${MIN_SPEEDUP}x" >&2
-    fail=1
-  else
-    echo "OK: $workload single-thread speedup ${speedup}x >= ${MIN_SPEEDUP}x"
-  fi
-done
-[[ "$fail" == 0 ]] || exit 1
-
-echo "== training sweep (serial vs sharded, threads 1/2/4) =="
-(cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_TrainingSweep')
-
-TRAIN_JSON="$BUILD_DIR/bench_out/BENCH_training.json"
-[[ -f "$TRAIN_JSON" ]] || { echo "FAIL: $TRAIN_JSON not written" >&2; exit 1; }
-
-bitwise=$(jq -r '.[0].bitwise_identical_params' "$TRAIN_JSON")
-if [[ "$bitwise" != "true" ]]; then
-  echo "FAIL: sharded training parameters differ across thread counts" >&2
-  exit 1
-fi
-echo "OK: sharded parameters bitwise identical across 1/2/4 threads"
-
-# Single-thread sharding overhead gate: sharding swaps kernel-level for
-# shard-level parallelism, so on one thread it must stay within 30% of the
-# single-graph tape (arena recycling keeps it close). Runs on any machine.
-overhead=$(jq -r '.[] | select(.mode == "sharded" and .threads == 1)
-                      | .speedup_vs_serial' "$TRAIN_JSON")
-ok=$(jq -n --argjson s "$overhead" '$s >= 0.7')
-if [[ "$ok" != "true" ]]; then
-  echo "FAIL: sharded 1-thread runs at ${overhead}x of serial (< 0.7x)" >&2
-  exit 1
-fi
-echo "OK: sharded 1-thread at ${overhead}x of serial (>= 0.7x)"
-
-# Wall-clock speedup gate: only meaningful where 4 workers can actually run
-# in parallel; on smaller machines report the number instead of gating on
-# the weather.
-cores=$(nproc)
-speedup4=$(jq -r '.[] | select(.mode == "sharded" and .threads == 4)
-                      | .speedup_vs_serial' "$TRAIN_JSON")
-if [[ "$cores" -ge 4 ]]; then
-  ok=$(jq -n --argjson s "$speedup4" --argjson min "$MIN_TRAIN_SPEEDUP" \
-       '$s >= $min')
-  if [[ "$ok" != "true" ]]; then
-    echo "FAIL: sharded 4-thread epoch speedup ${speedup4}x < ${MIN_TRAIN_SPEEDUP}x" >&2
-    exit 1
-  fi
-  echo "OK: sharded 4-thread epoch speedup ${speedup4}x >= ${MIN_TRAIN_SPEEDUP}x"
-else
-  echo "SKIP: 4-thread speedup gate (${cores} core(s) available; measured ${speedup4}x)"
-fi
-
-echo "== scale sweep (cold load to query-ready, v2 heap vs v3 mmap) =="
-# Full-size on purpose: the gate is about the 100k-segment regime.
-(cd "$BUILD_DIR" && DEEPST_FAST=0 bench/bench_scale)
-
-SCALE_JSON="$BUILD_DIR/bench_out/BENCH_scale.json"
-[[ -f "$SCALE_JSON" ]] || { echo "FAIL: $SCALE_JSON not written" >&2; exit 1; }
-
-segs=$(jq -r 'map(.segments) | max' "$SCALE_JSON")
-ok=$(jq -n --argjson s "$segs" '$s >= 100000')
-if [[ "$ok" != "true" ]]; then
-  echo "FAIL: largest scale has $segs segments (< 100000)" >&2
-  exit 1
-fi
-scale_speedup=$(jq -r --argjson s "$segs" \
-  '.[] | select(.format == "v3" and .segments == $s) | .speedup_vs_v2' \
-  "$SCALE_JSON")
-ok=$(jq -n --argjson s "$scale_speedup" --argjson min "$MIN_SCALE_SPEEDUP" \
-     '$s >= $min')
-if [[ "$ok" != "true" ]]; then
-  echo "FAIL: v3 cold load at ${segs} segments is ${scale_speedup}x vs v2 (< ${MIN_SCALE_SPEEDUP}x)" >&2
-  exit 1
-fi
-echo "OK: v3 cold load at ${segs} segments is ${scale_speedup}x vs v2 (>= ${MIN_SCALE_SPEEDUP}x)"
-
-echo "== serving sweep (client fleet vs batching daemon, workers 1/2/4) =="
-(cd "$BUILD_DIR" && bench/bench_serving)
-
-SERVE_JSON="$BUILD_DIR/bench_out/BENCH_serving.json"
-[[ -f "$SERVE_JSON" ]] || { echo "FAIL: $SERVE_JSON not written" >&2; exit 1; }
-
-qps1=$(jq -r '.[] | select(.mode == "server" and .workers == 1) | .qps' \
-  "$SERVE_JSON")
-qps4=$(jq -r '.[] | select(.mode == "server" and .workers == 4) | .qps' \
-  "$SERVE_JSON")
-p99_1=$(jq -r '.[] | select(.mode == "server" and .workers == 1) | .p99_ms' \
-  "$SERVE_JSON")
-p99_4=$(jq -r '.[] | select(.mode == "server" and .workers == 4) | .p99_ms' \
-  "$SERVE_JSON")
-serve_speedup=$(jq -n --argjson a "$qps4" --argjson b "$qps1" '$a / $b')
-# Like the training gate: 4 workers can only beat 1 where 4 cores exist;
-# elsewhere report the measurement instead of gating on the hardware.
-if [[ "$cores" -ge 4 ]]; then
-  ok=$(jq -n --argjson s "$serve_speedup" --argjson min "$MIN_SERVE_SPEEDUP" \
-       --argjson p1 "$p99_1" --argjson p4 "$p99_4" \
-       '($s >= $min) and ($p4 <= 3 * $p1)')
-  if [[ "$ok" != "true" ]]; then
-    echo "FAIL: serve 4-worker QPS ${serve_speedup}x vs 1 worker (want >= ${MIN_SERVE_SPEEDUP}x at p99 ${p99_4}ms <= 3x ${p99_1}ms)" >&2
-    exit 1
-  fi
-  echo "OK: serve 4-worker QPS ${serve_speedup}x >= ${MIN_SERVE_SPEEDUP}x (p99 ${p99_4}ms vs ${p99_1}ms)"
-else
-  echo "SKIP: serve 4-worker QPS gate (${cores} core(s) available; measured ${serve_speedup}x, p99 ${p99_4}ms vs ${p99_1}ms)"
-fi
-
-# Live-ingest tail gate: snapshot swaps (clone + fold off-thread, atomic
-# publish, memo-epoch bump) must never stall the predict fleet. Like the
-# other concurrency gates, only meaningful where the fleet, the ingest
-# client, and the aggregator can actually run in parallel.
-p99_live=$(jq -r '.[] | select(.mode == "server_ingest") | .p99_ms' \
-  "$SERVE_JSON")
-live_swaps=$(jq -r '.[] | select(.mode == "server_ingest") | .swaps' \
-  "$SERVE_JSON")
-if [[ "$cores" -ge 4 ]]; then
-  ok=$(jq -n --argjson l "$p99_live" --argjson s "$p99_4" \
-       --argjson r "$MAX_INGEST_P99_RATIO" '$l <= $r * $s')
-  if [[ "$ok" != "true" ]]; then
-    echo "FAIL: live-ingest p99 ${p99_live}ms > ${MAX_INGEST_P99_RATIO}x static 4-worker p99 ${p99_4}ms (${live_swaps} swaps)" >&2
-    exit 1
-  fi
-  echo "OK: live-ingest p99 ${p99_live}ms <= ${MAX_INGEST_P99_RATIO}x static ${p99_4}ms across ${live_swaps} swaps"
-else
-  echo "SKIP: live-ingest p99 gate (${cores} core(s) available; measured ${p99_live}ms vs static ${p99_4}ms, ${live_swaps} swaps)"
-fi
-
-echo "== quant sweep (bf16/int8 kernels + transition memo vs double) =="
-(cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_QuantSweep')
-
-QUANT_JSON="$BUILD_DIR/bench_out/BENCH_quant.json"
-[[ -f "$QUANT_JSON" ]] || { echo "FAIL: $QUANT_JSON not written" >&2; exit 1; }
-
-# Accuracy-parity floors run on every machine: a reduced precision that
-# drifts from the double path is wrong regardless of how fast it is. The
-# floors leave generous margin over measured behavior (top-1 agreement
-# 1.00, deltas <= 1e-4 on the micro model) while catching packing or
-# kernel regressions an order of magnitude before they reach eval metrics.
-fail=0
-for spec in "bf16_memo 0.99 0.001" "int8_memo 0.95 0.005"; do
-  read -r variant min_top1 max_ce <<< "$spec"
-  top1=$(jq -r --arg v "$variant" \
-    '.[] | select(.variant == $v) | .top1_agreement' "$QUANT_JSON")
-  ce=$(jq -r --arg v "$variant" \
-    '.[] | select(.variant == $v) | .ce_delta_per_transition' "$QUANT_JSON")
-  ok=$(jq -n --argjson t "$top1" --argjson c "$ce" \
-       --argjson mt "$min_top1" --argjson mc "$max_ce" \
-       '($t >= $mt) and ($c <= $mc)')
-  if [[ "$ok" != "true" ]]; then
-    echo "FAIL: $variant accuracy parity (top-1 ${top1} vs >= ${min_top1}, ce delta ${ce} vs <= ${max_ce})" >&2
-    fail=1
-  else
-    echo "OK: $variant accuracy parity (top-1 ${top1}, ce delta ${ce}/transition)"
-  fi
-done
-[[ "$fail" == 0 ]] || exit 1
-
-# The memo must actually be absorbing the hot-query workload; 0.5 is far
-# below the measured steady state (~0.99) but rules out a cache that
-# silently stopped hitting (bad keys, over-invalidation).
-hit=$(jq -r '.[] | select(.variant == "double_memo") | .steady_hit_rate' \
-  "$QUANT_JSON")
-ok=$(jq -n --argjson h "$hit" '$h >= 0.5')
-if [[ "$ok" != "true" ]]; then
-  echo "FAIL: transition memo steady-state hit rate ${hit} < 0.5" >&2
-  exit 1
-fi
-echo "OK: transition memo steady-state hit rate ${hit} >= 0.5"
-
-# Throughput gate: the memoized quantized fast path must beat the current
-# (unmemoized double) fast path. Vector-ISA-dependent, so like the other
-# hardware gates it reports instead of failing where the kernels cannot
-# dispatch past the scalar clone.
-if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-  for variant in bf16_memo int8_memo; do
-    speedup=$(jq -r --arg v "$variant" \
-      '.[] | select(.variant == $v) | .speedup_vs_double' "$QUANT_JSON")
-    ok=$(jq -n --argjson s "$speedup" --argjson min "$MIN_QUANT_SPEEDUP" \
-         '$s >= $min')
+  local workload speedup ok
+  for workload in score_route_len19 predict_route; do
+    speedup=$(jq -r --arg w "$workload" \
+      '.[] | select(.engine == "fast" and .workload == $w and .threads == 1)
+           | .speedup_vs_graph' "$JSON")
+    ok=$(jq -n --argjson s "$speedup" --argjson min "$MIN_SPEEDUP" '$s >= $min')
     if [[ "$ok" != "true" ]]; then
-      echo "FAIL: $variant beam workload speedup ${speedup}x < ${MIN_QUANT_SPEEDUP}x" >&2
-      fail=1
+      fail "$workload single-thread speedup ${speedup}x < ${MIN_SPEEDUP}x"
     else
-      echo "OK: $variant beam workload speedup ${speedup}x >= ${MIN_QUANT_SPEEDUP}x"
+      echo "OK: $workload single-thread speedup ${speedup}x >= ${MIN_SPEEDUP}x"
     fi
   done
-  [[ "$fail" == 0 ]] || exit 1
-else
-  for variant in bf16_memo int8_memo; do
-    speedup=$(jq -r --arg v "$variant" \
-      '.[] | select(.variant == $v) | .speedup_vs_double' "$QUANT_JSON")
-    echo "SKIP: $variant speedup gate (no avx2; measured ${speedup}x)"
-  done
-fi
+}
+inference_gates
 
-echo "== gemm sweep (register-blocked kernels vs chunk, beam blocking off/on) =="
-(cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_GemmSweep')
+echo "== training sweep (serial vs sharded, threads 1/2/4) =="
+training_gates() {
+  (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_TrainingSweep') ||
+    fail "BM_TrainingSweep exited nonzero"
 
-GEMM_JSON="$BUILD_DIR/bench_out/BENCH_gemm.json"
-[[ -f "$GEMM_JSON" ]] || { echo "FAIL: $GEMM_JSON not written" >&2; exit 1; }
+  local TRAIN_JSON="$BUILD_DIR/bench_out/BENCH_training.json"
+  [[ -f "$TRAIN_JSON" ]] || { fail "$TRAIN_JSON not written"; return; }
 
-# Bitwise floor runs on every machine: blocking reorders work across output
-# elements only, so every kernel row (all precisions) and the end-to-end
-# beam routes must match the unblocked path bit for bit.
-not_bitwise=$(jq -r '[.[] | select(.bitwise_equal != true) | .variant] | join(", ")' \
-  "$GEMM_JSON")
-if [[ -n "$not_bitwise" ]]; then
-  echo "FAIL: blocked GEMM differs from the unblocked path: $not_bitwise" >&2
-  exit 1
-fi
-echo "OK: blocked GEMM bitwise identical to the unblocked path (all variants)"
+  local bitwise overhead ok speedup4
+  bitwise=$(jq -r '.[0].bitwise_identical_params' "$TRAIN_JSON")
+  if [[ "$bitwise" != "true" ]]; then
+    fail "sharded training parameters differ across thread counts"
+  else
+    echo "OK: sharded parameters bitwise identical across 1/2/4 threads"
+  fi
 
-# Throughput gate: hardware-dependent like the other vector-ISA gates.
-gemm_speedup=$(jq -r \
-  '.[] | select(.variant == "beam_multi_double") | .speedup_vs_unblocked' \
-  "$GEMM_JSON")
-if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-  ok=$(jq -n --argjson s "$gemm_speedup" --argjson min "$MIN_GEMM_SPEEDUP" \
+  # Single-thread sharding overhead gate: sharding swaps kernel-level for
+  # shard-level parallelism, so on one thread it must stay within 30% of the
+  # single-graph tape (arena recycling keeps it close). Runs on any machine.
+  overhead=$(jq -r '.[] | select(.mode == "sharded" and .threads == 1)
+                        | .speedup_vs_serial' "$TRAIN_JSON")
+  ok=$(jq -n --argjson s "$overhead" '$s >= 0.7')
+  if [[ "$ok" != "true" ]]; then
+    fail "sharded 1-thread runs at ${overhead}x of serial (< 0.7x)"
+  else
+    echo "OK: sharded 1-thread at ${overhead}x of serial (>= 0.7x)"
+  fi
+
+  # Wall-clock speedup gate: only meaningful where 4 workers can actually run
+  # in parallel; on smaller machines report the number instead of gating on
+  # the weather.
+  speedup4=$(jq -r '.[] | select(.mode == "sharded" and .threads == 4)
+                        | .speedup_vs_serial' "$TRAIN_JSON")
+  if [[ "$cores" -ge 4 ]]; then
+    ok=$(jq -n --argjson s "$speedup4" --argjson min "$MIN_TRAIN_SPEEDUP" \
+         '$s >= $min')
+    if [[ "$ok" != "true" ]]; then
+      fail "sharded 4-thread epoch speedup ${speedup4}x < ${MIN_TRAIN_SPEEDUP}x"
+    else
+      echo "OK: sharded 4-thread epoch speedup ${speedup4}x >= ${MIN_TRAIN_SPEEDUP}x"
+    fi
+  else
+    echo "SKIP: 4-thread speedup gate (${cores} core(s) available; measured ${speedup4}x)"
+  fi
+}
+cores=$(nproc)
+training_gates
+
+echo "== scale sweep (cold load to query-ready, v2 heap vs v3 mmap) =="
+scale_gates() {
+  # Full-size on purpose: the gate is about the 100k-segment regime.
+  (cd "$BUILD_DIR" && DEEPST_FAST=0 bench/bench_scale) ||
+    fail "bench_scale exited nonzero"
+
+  local SCALE_JSON="$BUILD_DIR/bench_out/BENCH_scale.json"
+  [[ -f "$SCALE_JSON" ]] || { fail "$SCALE_JSON not written"; return; }
+
+  local segs ok scale_speedup
+  segs=$(jq -r 'map(.segments) | max' "$SCALE_JSON")
+  ok=$(jq -n --argjson s "$segs" '$s >= 100000')
+  if [[ "$ok" != "true" ]]; then
+    fail "largest scale has $segs segments (< 100000)"
+    return
+  fi
+  scale_speedup=$(jq -r --argjson s "$segs" \
+    '.[] | select(.format == "v3" and .segments == $s) | .speedup_vs_v2' \
+    "$SCALE_JSON")
+  ok=$(jq -n --argjson s "$scale_speedup" --argjson min "$MIN_SCALE_SPEEDUP" \
        '$s >= $min')
   if [[ "$ok" != "true" ]]; then
-    echo "FAIL: memo-cold batched beam speedup ${gemm_speedup}x < ${MIN_GEMM_SPEEDUP}x" >&2
-    exit 1
+    fail "v3 cold load at ${segs} segments is ${scale_speedup}x vs v2 (< ${MIN_SCALE_SPEEDUP}x)"
+  else
+    echo "OK: v3 cold load at ${segs} segments is ${scale_speedup}x vs v2 (>= ${MIN_SCALE_SPEEDUP}x)"
   fi
-  echo "OK: memo-cold batched beam speedup ${gemm_speedup}x >= ${MIN_GEMM_SPEEDUP}x"
-else
-  echo "SKIP: gemm speedup gate (no avx2; measured ${gemm_speedup}x)"
-fi
+}
+scale_gates
+
+echo "== serving sweep (client fleet vs batching daemon, workers 1/2/4) =="
+serving_gates() {
+  (cd "$BUILD_DIR" && bench/bench_serving) || fail "bench_serving exited nonzero"
+
+  local SERVE_JSON="$BUILD_DIR/bench_out/BENCH_serving.json"
+  [[ -f "$SERVE_JSON" ]] || { fail "$SERVE_JSON not written"; return; }
+
+  local qps1 qps4 p99_1 p99_4 serve_speedup ok p99_live live_swaps
+  qps1=$(jq -r '.[] | select(.mode == "server" and .workers == 1) | .qps' \
+    "$SERVE_JSON")
+  qps4=$(jq -r '.[] | select(.mode == "server" and .workers == 4) | .qps' \
+    "$SERVE_JSON")
+  p99_1=$(jq -r '.[] | select(.mode == "server" and .workers == 1) | .p99_ms' \
+    "$SERVE_JSON")
+  p99_4=$(jq -r '.[] | select(.mode == "server" and .workers == 4) | .p99_ms' \
+    "$SERVE_JSON")
+  serve_speedup=$(jq -n --argjson a "$qps4" --argjson b "$qps1" '$a / $b')
+  # Like the training gate: 4 workers can only beat 1 where 4 cores exist;
+  # elsewhere report the measurement instead of gating on the hardware.
+  if [[ "$cores" -ge 4 ]]; then
+    ok=$(jq -n --argjson s "$serve_speedup" --argjson min "$MIN_SERVE_SPEEDUP" \
+         --argjson p1 "$p99_1" --argjson p4 "$p99_4" \
+         '($s >= $min) and ($p4 <= 3 * $p1)')
+    if [[ "$ok" != "true" ]]; then
+      fail "serve 4-worker QPS ${serve_speedup}x vs 1 worker (want >= ${MIN_SERVE_SPEEDUP}x at p99 ${p99_4}ms <= 3x ${p99_1}ms)"
+    else
+      echo "OK: serve 4-worker QPS ${serve_speedup}x >= ${MIN_SERVE_SPEEDUP}x (p99 ${p99_4}ms vs ${p99_1}ms)"
+    fi
+  else
+    echo "SKIP: serve 4-worker QPS gate (${cores} core(s) available; measured ${serve_speedup}x, p99 ${p99_4}ms vs ${p99_1}ms)"
+  fi
+
+  # Live-ingest tail gate: snapshot swaps (clone + fold off-thread, atomic
+  # publish, memo-epoch bump) must never stall the predict fleet. Like the
+  # other concurrency gates, only meaningful where the fleet, the ingest
+  # client, and the aggregator can actually run in parallel.
+  p99_live=$(jq -r '.[] | select(.mode == "server_ingest") | .p99_ms' \
+    "$SERVE_JSON")
+  live_swaps=$(jq -r '.[] | select(.mode == "server_ingest") | .swaps' \
+    "$SERVE_JSON")
+  if [[ "$cores" -ge 4 ]]; then
+    ok=$(jq -n --argjson l "$p99_live" --argjson s "$p99_4" \
+         --argjson r "$MAX_INGEST_P99_RATIO" '$l <= $r * $s')
+    if [[ "$ok" != "true" ]]; then
+      fail "live-ingest p99 ${p99_live}ms > ${MAX_INGEST_P99_RATIO}x static 4-worker p99 ${p99_4}ms (${live_swaps} swaps)"
+    else
+      echo "OK: live-ingest p99 ${p99_live}ms <= ${MAX_INGEST_P99_RATIO}x static ${p99_4}ms across ${live_swaps} swaps"
+    fi
+  else
+    echo "SKIP: live-ingest p99 gate (${cores} core(s) available; measured ${p99_live}ms vs static ${p99_4}ms, ${live_swaps} swaps)"
+  fi
+}
+serving_gates
+
+echo "== quant sweep (bf16/int8 kernels + transition memo vs double) =="
+quant_gates() {
+  (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_QuantSweep') ||
+    fail "BM_QuantSweep exited nonzero"
+
+  local QUANT_JSON="$BUILD_DIR/bench_out/BENCH_quant.json"
+  [[ -f "$QUANT_JSON" ]] || { fail "$QUANT_JSON not written"; return; }
+
+  # Accuracy-parity floors run on every machine: a reduced precision that
+  # drifts from the double path is wrong regardless of how fast it is. The
+  # floors leave generous margin over measured behavior (top-1 agreement
+  # 1.00, deltas <= 1e-4 on the micro model) while catching packing or
+  # kernel regressions an order of magnitude before they reach eval metrics.
+  local spec variant min_top1 max_ce top1 ce ok hit speedup
+  for spec in "bf16_memo 0.99 0.001" "int8_memo 0.95 0.005"; do
+    read -r variant min_top1 max_ce <<< "$spec"
+    top1=$(jq -r --arg v "$variant" \
+      '.[] | select(.variant == $v) | .top1_agreement' "$QUANT_JSON")
+    ce=$(jq -r --arg v "$variant" \
+      '.[] | select(.variant == $v) | .ce_delta_per_transition' "$QUANT_JSON")
+    ok=$(jq -n --argjson t "$top1" --argjson c "$ce" \
+         --argjson mt "$min_top1" --argjson mc "$max_ce" \
+         '($t >= $mt) and ($c <= $mc)')
+    if [[ "$ok" != "true" ]]; then
+      fail "$variant accuracy parity (top-1 ${top1} vs >= ${min_top1}, ce delta ${ce} vs <= ${max_ce})"
+    else
+      echo "OK: $variant accuracy parity (top-1 ${top1}, ce delta ${ce}/transition)"
+    fi
+  done
+
+  # The memo must actually be absorbing the hot-query workload; 0.5 is far
+  # below the measured steady state (~0.99) but rules out a cache that
+  # silently stopped hitting (bad keys, over-invalidation).
+  hit=$(jq -r '.[] | select(.variant == "double_memo") | .steady_hit_rate' \
+    "$QUANT_JSON")
+  ok=$(jq -n --argjson h "$hit" '$h >= 0.5')
+  if [[ "$ok" != "true" ]]; then
+    fail "transition memo steady-state hit rate ${hit} < 0.5"
+  else
+    echo "OK: transition memo steady-state hit rate ${hit} >= 0.5"
+  fi
+
+  # Throughput gate: the memoized quantized fast path must beat the current
+  # (unmemoized double) fast path. Vector-ISA-dependent, so like the other
+  # hardware gates it reports instead of failing where the kernels cannot
+  # dispatch past the scalar clone.
+  if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
+    for variant in bf16_memo int8_memo; do
+      speedup=$(jq -r --arg v "$variant" \
+        '.[] | select(.variant == $v) | .speedup_vs_double' "$QUANT_JSON")
+      ok=$(jq -n --argjson s "$speedup" --argjson min "$MIN_QUANT_SPEEDUP" \
+           '$s >= $min')
+      if [[ "$ok" != "true" ]]; then
+        fail "$variant beam workload speedup ${speedup}x < ${MIN_QUANT_SPEEDUP}x"
+      else
+        echo "OK: $variant beam workload speedup ${speedup}x >= ${MIN_QUANT_SPEEDUP}x"
+      fi
+    done
+  else
+    for variant in bf16_memo int8_memo; do
+      speedup=$(jq -r --arg v "$variant" \
+        '.[] | select(.variant == $v) | .speedup_vs_double' "$QUANT_JSON")
+      echo "SKIP: $variant speedup gate (no avx2; measured ${speedup}x)"
+    done
+  fi
+}
+quant_gates
+
+echo "== gemm sweep (register-blocked kernels vs chunk, beam blocking off/on) =="
+gemm_gates() {
+  (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_GemmSweep') ||
+    fail "BM_GemmSweep exited nonzero"
+
+  local GEMM_JSON="$BUILD_DIR/bench_out/BENCH_gemm.json"
+  [[ -f "$GEMM_JSON" ]] || { fail "$GEMM_JSON not written"; return; }
+
+  # Bitwise floor runs on every machine: blocking reorders work across output
+  # elements only, so every kernel row (all precisions) and the end-to-end
+  # beam routes must match the unblocked path bit for bit.
+  local not_bitwise gemm_speedup ok
+  not_bitwise=$(jq -r '[.[] | select(.bitwise_equal != true) | .variant] | join(", ")' \
+    "$GEMM_JSON")
+  if [[ -n "$not_bitwise" ]]; then
+    fail "blocked GEMM differs from the unblocked path: $not_bitwise"
+  else
+    echo "OK: blocked GEMM bitwise identical to the unblocked path (all variants)"
+  fi
+
+  # Throughput gate: hardware-dependent like the other vector-ISA gates.
+  gemm_speedup=$(jq -r \
+    '.[] | select(.variant == "beam_multi_double") | .speedup_vs_unblocked' \
+    "$GEMM_JSON")
+  if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
+    ok=$(jq -n --argjson s "$gemm_speedup" --argjson min "$MIN_GEMM_SPEEDUP" \
+         '$s >= $min')
+    if [[ "$ok" != "true" ]]; then
+      fail "memo-cold batched beam speedup ${gemm_speedup}x < ${MIN_GEMM_SPEEDUP}x"
+    else
+      echo "OK: memo-cold batched beam speedup ${gemm_speedup}x >= ${MIN_GEMM_SPEEDUP}x"
+    fi
+  else
+    echo "SKIP: gemm speedup gate (no avx2; measured ${gemm_speedup}x)"
+  fi
+}
+gemm_gates
 
 echo "== proxy logits (ops::Linear vs the output-major row kernel) =="
-(cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_ProxyLogits')
+proxy_gates() {
+  (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_ProxyLogits') ||
+    fail "BM_ProxyLogits exited nonzero"
 
-PROXY_JSON="$BUILD_DIR/bench_out/BENCH_proxy.json"
-[[ -f "$PROXY_JSON" ]] || { echo "FAIL: $PROXY_JSON not written" >&2; exit 1; }
-not_bitwise=$(jq -r '[.[] | select(.bitwise_equal != true) | .variant] | join(", ")' \
-  "$PROXY_JSON")
-if [[ -n "$not_bitwise" ]]; then
-  echo "FAIL: output-major proxy logits differ from ops::Linear: $not_bitwise" >&2
-  exit 1
-fi
-echo "OK: output-major proxy logits bitwise identical to ops::Linear"
+  local PROXY_JSON="$BUILD_DIR/bench_out/BENCH_proxy.json"
+  [[ -f "$PROXY_JSON" ]] || { fail "$PROXY_JSON not written"; return; }
+  local not_bitwise
+  not_bitwise=$(jq -r '[.[] | select(.bitwise_equal != true) | .variant] | join(", ")' \
+    "$PROXY_JSON")
+  if [[ -n "$not_bitwise" ]]; then
+    fail "output-major proxy logits differ from ops::Linear: $not_bitwise"
+  else
+    echo "OK: output-major proxy logits bitwise identical to ops::Linear"
+  fi
+}
+proxy_gates
+
+echo "== GRU gates (vector expf/tanhf vs libm, all 2^32 floats) =="
+gate_gates() {
+  (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_GateMath') ||
+    fail "BM_GateMath exited nonzero"
+
+  local GATES_JSON="$BUILD_DIR/bench_out/BENCH_gates.json"
+  [[ -f "$GATES_JSON" ]] || { fail "$GATES_JSON not written"; return; }
+  local not_bitwise
+  not_bitwise=$(jq -r '[.[] | select(.bitwise_equal != true)
+                            | "\(.variant) (\(.mismatches) mismatches)"]
+                       | join(", ")' "$GATES_JSON")
+  if [[ -n "$not_bitwise" ]]; then
+    fail "GRU gate kernel differs from libm: $not_bitwise"
+  else
+    echo "OK: GRU gate kernel bitwise identical to libm (all 2^32 floats, H = 64 gates)"
+  fi
+}
+gate_gates
 
 echo "== parity / regression tests =="
-"$BUILD_DIR"/tests/inference_test
-"$BUILD_DIR"/tests/train_sharded_test
-"$BUILD_DIR"/tests/quant_test
+for t in inference_test train_sharded_test quant_test; do
+  "$BUILD_DIR"/tests/$t || fail "$t"
+done
 
+if [[ ${#FAILED[@]} -gt 0 ]]; then
+  echo "FAILED ${#FAILED[@]} gate(s):" >&2
+  printf '  - %s\n' "${FAILED[@]}" >&2
+  exit 1
+fi
 echo "OK: fast path >= ${MIN_SPEEDUP}x over the graph path and parity holds"
