@@ -598,30 +598,26 @@ void BM_ScoreRoutesBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreRoutesBatched)->Arg(1)->Arg(8)->Arg(32);
 
-// One-shot sweep comparing the autodiff graph path against the graph-free
-// engine on the two prediction-time workloads, over backend thread counts.
-// Exported as bench_out/BENCH_inference.json; tools/check_perf.sh asserts
-// the single-thread fast-path speedups from it.
+// One-shot sweep comparing the autodiff reference predictors ("graph")
+// against the graph-free engine ("fast") on the two prediction-time
+// workloads, over backend thread counts, on one model and one context per
+// workload. Exported as bench_out/BENCH_inference.json; tools/check_perf.sh
+// asserts the single-thread fast-path speedups from it.
 void BM_InferenceSweep(benchmark::State& state) {
   auto& world = MicroWorld();
-  core::DeepSTConfig fast_cfg =
-      baselines::DeepStCConfigOf(eval::DefaultModelConfig(world));
-  core::DeepSTConfig graph_cfg = fast_cfg;
-  graph_cfg.graph_inference = true;
-  // Same config seed, so both models hold identical weights.
-  core::DeepSTModel fast_model(world.net(), fast_cfg, nullptr);
-  core::DeepSTModel graph_model(world.net(), graph_cfg, nullptr);
+  core::DeepSTModel model(
+      world.net(), baselines::DeepStCConfigOf(eval::DefaultModelConfig(world)),
+      nullptr);
 
   const traj::Route route = SyntheticRoute(19);
   core::RouteQuery score_query;
   score_query.origin = route.front();
   score_query.destination = world.net().SegmentEnd(route.back());
   core::RouteQuery pred_query = eval::QueryFor(world.split().test.front()->trip);
-  util::Rng rng_f(5), rng_g(5);
-  core::PredictionContext score_ctx_f = fast_model.MakeContext(score_query, &rng_f);
-  core::PredictionContext score_ctx_g = graph_model.MakeContext(score_query, &rng_g);
-  core::PredictionContext pred_ctx_f = fast_model.MakeContext(pred_query, &rng_f);
-  core::PredictionContext pred_ctx_g = graph_model.MakeContext(pred_query, &rng_g);
+  util::Rng rng(5);
+  const core::PredictionContext score_ctx =
+      model.MakeContext(score_query, &rng);
+  const core::PredictionContext pred_ctx = model.MakeContext(pred_query, &rng);
 
   const int reps = eval::FastMode() ? 10 : 30;
   auto time_best = [reps](const std::function<void()>& fn) {
@@ -647,24 +643,20 @@ void BM_InferenceSweep(benchmark::State& state) {
     rows.clear();
     for (int threads : {1, 2, 4}) {
       nn::SetBackendThreads(threads);
-      struct Engine {
-        const char* name;
-        core::DeepSTModel* model;
-        core::PredictionContext* score_ctx;
-        core::PredictionContext* pred_ctx;
-      };
-      const Engine engines[2] = {
-          {"graph", &graph_model, &score_ctx_g, &pred_ctx_g},
-          {"fast", &fast_model, &score_ctx_f, &pred_ctx_f}};
-      for (const Engine& e : engines) {
-        rows.push_back({e.name, "score_route_len19", threads, time_best([&] {
+      for (const bool graph : {true, false}) {
+        const char* engine = graph ? "graph" : "fast";
+        rows.push_back({engine, "score_route_len19", threads, time_best([&] {
                           benchmark::DoNotOptimize(
-                              e.model->ScoreRoute(*e.score_ctx, route));
+                              graph ? model.ScoreRouteReference(score_ctx, route)
+                                    : model.ScoreRoute(score_ctx, route));
                         })});
-        rows.push_back({e.name, "predict_route", threads, time_best([&] {
+        rows.push_back({engine, "predict_route", threads, time_best([&] {
                           util::Rng r(7);
-                          benchmark::DoNotOptimize(e.model->PredictRouteBeam(
-                              *e.pred_ctx, pred_query.origin, &r));
+                          benchmark::DoNotOptimize(
+                              graph ? model.PredictRouteBeamReference(
+                                          pred_ctx, pred_query.origin, &r)
+                                    : model.PredictRouteBeam(
+                                          pred_ctx, pred_query.origin, &r));
                         })});
       }
     }
@@ -674,8 +666,8 @@ void BM_InferenceSweep(benchmark::State& state) {
   // Cross-engine agreement on the timed workloads (also parity-tested at
   // 1e-5 in tests/inference_test.cc; recorded here for the bench artifact).
   const double score_diff =
-      std::abs(fast_model.ScoreRoute(score_ctx_f, route) -
-               graph_model.ScoreRoute(score_ctx_g, route));
+      std::abs(model.ScoreRoute(score_ctx, route) -
+               model.ScoreRouteReference(score_ctx, route));
 
   auto seconds_of = [&rows](const char* engine, const char* workload,
                             int threads) {

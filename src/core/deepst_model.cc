@@ -947,13 +947,12 @@ double DeepSTModel::ScoreRoute(const RouteQuery& query,
   return ScoreRoute(ctx, route);
 }
 
-// -- Fast-path dispatch --------------------------------------------------------
-// The public prediction/scoring API routes through the graph-free engine
-// unless config.graph_inference pins the autodiff reference path.
+// -- Graph-free engine entry points ----------------------------------------------
+// Each call leases a session; single-query calls run as one-item or
+// one-context batches of the session's one engine.
 
 traj::Route DeepSTModel::PredictRoute(const PredictionContext& ctx,
                                       SegmentId origin, util::Rng* rng) {
-  if (config_.graph_inference) return PredictRouteReference(ctx, origin, rng);
   SessionLease session(this);
   util::ThrowIfFaultPoint("infer.query");
   return session->PredictRoute(ctx, origin, rng);
@@ -963,10 +962,6 @@ traj::Route DeepSTModel::PredictRouteBeam(const PredictionContext& ctx,
                                           SegmentId origin, util::Rng* rng,
                                           double deadline_ms,
                                           bool* budget_hit) {
-  if (config_.graph_inference) {
-    return PredictRouteBeamReference(ctx, origin, rng, deadline_ms,
-                                     budget_hit);
-  }
   SessionLease session(this);
   util::ThrowIfFaultPoint("infer.query");
   return session->PredictRouteBeam(ctx, origin, rng, deadline_ms, budget_hit);
@@ -974,7 +969,6 @@ traj::Route DeepSTModel::PredictRouteBeam(const PredictionContext& ctx,
 
 double DeepSTModel::ScoreRoute(const PredictionContext& ctx,
                                const traj::Route& route) {
-  if (config_.graph_inference) return ScoreRouteReference(ctx, route);
   SessionLease session(this);
   util::ThrowIfFaultPoint("infer.query");
   return session->ScoreRoute(ctx, route);
@@ -982,8 +976,8 @@ double DeepSTModel::ScoreRoute(const PredictionContext& ctx,
 
 std::vector<int> DeepSTModel::TopSlotsAlongRoute(const PredictionContext& ctx,
                                                  const traj::Route& route) {
-  // Harness entry point: always runs on the graph-free engine (the thing
-  // whose precision is being evaluated), regardless of graph_inference.
+  // Harness entry point: measures the graph-free engine's raw kernels (the
+  // thing whose precision is being evaluated), so no fault point here.
   SessionLease session(this);
   std::vector<int> slots;
   session->TopSlotsAlongRoute(ctx, route, &slots);
@@ -992,14 +986,6 @@ std::vector<int> DeepSTModel::TopSlotsAlongRoute(const PredictionContext& ctx,
 
 std::vector<double> DeepSTModel::ScoreRoutes(
     const PredictionContext& ctx, const std::vector<traj::Route>& routes) {
-  if (config_.graph_inference) {
-    std::vector<double> scores;
-    scores.reserve(routes.size());
-    for (const traj::Route& route : routes) {
-      scores.push_back(ScoreRouteReference(ctx, route));
-    }
-    return scores;
-  }
   SessionLease session(this);
   util::ThrowIfFaultPoint("infer.query");
   return session->ScoreRoutes(ctx, routes);
@@ -1008,25 +994,12 @@ std::vector<double> DeepSTModel::ScoreRoutes(
 double DeepSTModel::ScoreContinuation(const PredictionContext& ctx,
                                       const traj::Route& prefix,
                                       const traj::Route& continuation) {
-  if (config_.graph_inference) {
-    return ScoreContinuationReference(ctx, prefix, continuation);
-  }
-  SessionLease session(this);
-  util::ThrowIfFaultPoint("infer.query");
-  return session->ScoreContinuation(ctx, prefix, continuation);
+  return ScoreContinuations(ctx, prefix, {continuation}).front();
 }
 
 std::vector<double> DeepSTModel::ScoreContinuations(
     const PredictionContext& ctx, const traj::Route& prefix,
     const std::vector<traj::Route>& candidates) {
-  if (config_.graph_inference) {
-    std::vector<double> scores;
-    scores.reserve(candidates.size());
-    for (const traj::Route& cand : candidates) {
-      scores.push_back(ScoreContinuationReference(ctx, prefix, cand));
-    }
-    return scores;
-  }
   SessionLease session(this);
   util::ThrowIfFaultPoint("infer.query");
   return session->ScoreContinuations(ctx, prefix, candidates);
@@ -1035,32 +1008,24 @@ std::vector<double> DeepSTModel::ScoreContinuations(
 void DeepSTModel::PredictRoutesBeamMulti(std::vector<PredictItem>* items,
                                          util::Rng* rng) {
   if (items->empty()) return;
-  // Lock-step batching requires the graph-free engine and the deterministic
-  // MAP beam (no rng draws); other configs fall back to per-item calls,
-  // which produce the same per-item results by construction.
-  const bool eligible = !config_.graph_inference && config_.map_prediction &&
-                        !config_.sample_stop;
-  if (!eligible) {
-    for (PredictItem& item : *items) {
-      item.budget_hit = false;
-      item.route = PredictRouteBeam(*item.ctx, item.origin, rng,
-                                    item.deadline_ms, &item.budget_hit);
-    }
-    return;
-  }
   SessionLease session(this);
   util::ThrowIfFaultPoint("infer.query");
-  session->PredictRoutesBeamMulti(items);
+  if (!config_.sample_stop) {
+    // The beam draws nothing (map_prediction only selects how PredictRoute
+    // generates), so every item steps in one lock-step batch.
+    session->PredictRoutesBeamMulti(items, rng);
+    return;
+  }
+  // Sampled stops draw from the shared rng in each query's beam order: one
+  // item at a time keeps the draws in that order.
+  for (PredictItem& item : *items) {
+    item.route = session->PredictRouteBeam(*item.ctx, item.origin, rng,
+                                           item.deadline_ms, &item.budget_hit);
+  }
 }
 
 void DeepSTModel::ScoreRoutesMulti(std::vector<ScoreItem>* items) {
   if (items->empty()) return;
-  if (config_.graph_inference) {
-    for (ScoreItem& item : *items) {
-      item.scores = ScoreRoutes(*item.ctx, *item.routes);
-    }
-    return;
-  }
   SessionLease session(this);
   util::ThrowIfFaultPoint("infer.query");
   session->ScoreRoutesMulti(items);

@@ -154,10 +154,10 @@ class DeepSTModel : public nn::Module {
 
   // -- Prediction (Algorithm 2) -------------------------------------------------
   // Generation and scoring run on the graph-free inference engine
-  // (core/infer) unless config.graph_inference selects the autodiff
-  // reference path; the two agree within 1e-5 (docs/inference.md). All
-  // prediction/scoring entry points are safe to call concurrently: each call
-  // leases a scratch session from a mutex-guarded pool.
+  // (core/infer), which agrees with the autodiff *Reference methods below
+  // within 1e-5 (docs/inference.md). All prediction/scoring entry points are
+  // safe to call concurrently: each call leases a scratch session from a
+  // mutex-guarded pool.
   PredictionContext MakeContext(const RouteQuery& query, util::Rng* rng);
   // Degraded-context variant: substitutes priors for the inputs flagged in
   // `options` (see ContextOptions) and computes the rest normally.
@@ -205,12 +205,11 @@ class DeepSTModel : public nn::Module {
       const std::vector<traj::Route>& candidates);
 
   // -- Cross-query batched entry points (serve scheduler) ------------------------
-  // Run every item through ONE leased session as one padded batch when the
-  // config permits lock-step batching (graph-free engine + deterministic MAP
-  // beam for prediction); fall back to per-item single-query calls
-  // otherwise. Either way each item's result is bitwise identical to the
-  // corresponding single-query call. `rng` is only consulted on the
-  // fallback path (sampled-stop configs); the batched path draws nothing.
+  // Run every item through ONE leased session, as one padded batch except
+  // under sample_stop, the only config whose beam draws from `rng`: there
+  // the items run one at a time on it, making the draws of one
+  // PredictRouteBeam call per item in order. Each item's result is bitwise
+  // identical to the corresponding single-query call.
   void PredictRoutesBeamMulti(std::vector<PredictItem>* items,
                               util::Rng* rng = nullptr);
   void ScoreRoutesMulti(std::vector<ScoreItem>* items);

@@ -53,29 +53,35 @@ struct SharedInferWeights {
 // one per call, which is what makes the public model API safe under
 // EvaluatePredictionParallel.
 //
+// One engine serves every call. Each call folds its contexts into rows of
+// the per-query bias blocks (PrepareContexts) and steps a padded batch whose
+// rows each read their own query's row (StepBatch's row_ctx, the kernels'
+// bias_row). Single-query calls are batches over one context: the beam runs
+// PredictRoutesBeamMulti on a one-item vector, ScoreRoutes runs
+// ScoreRoutesMulti on one item. The kernels are row-local, so a query's
+// result is bitwise the same whatever else shares its batch. Only
+// PredictRoute keeps a step loop of its own, for greedy (beam_width 1) and
+// sampled (!map_prediction) generation.
+//
 // Semantics mirror the model's *Reference methods exactly: the same valid-
 // slot renormalization, visit guards, beam bookkeeping and ShouldStop rng
 // call order. The visit guard scans the hypothesis' own route (which holds
 // exactly the visited set) where the reference keeps a per-segment bitmap.
 // Numerics differ from the reference only through the forward kernels'
 // 8-lane accumulation (~1e-7 per logit, parity-tested at 1e-5); the fast
-// path itself is bitwise identical for every thread count and for batched
-// vs one-at-a-time scoring.
+// path itself is bitwise identical for every thread count and batch
+// composition.
 //
-// Per-query precomputation (PrepareContext): the GRU input is
+// Per-query precomputation (PrepareContexts): the GRU input is
 // [token_embedding, dest_repr, traffic_repr] where the context part is
 // constant for a whole query, so its layer-0 input-to-hidden product
 // (+ b_ih) is folded into a per-query bias and each step only multiplies
 // the embedding columns. Likewise alpha's bias, dest_term and traffic_term
-// collapse into one per-query logit bias row.
-//
-// Round two (this file + nn/infer/forward.h): the per-step GEMV weights are
-// packed once per model at config.infer_precision (double/bf16/int8) and
-// shared across the pool, and the prediction paths sit behind the model's
-// TransitionMemoCache — a (context, token-prefix) keyed cache of post-step
-// logits + hidden state. A hit replays kernel outputs bitwise (asserted in
-// quant_test), so memoization changes speed, never results; bf16/int8
-// change results within the gated accuracy tolerance (docs/inference.md).
+// collapse into one per-query logit bias row. The per-step GEMV weights are
+// packed once per model (SharedInferWeights), and the generation paths sit
+// behind the model's TransitionMemoCache, a (context, token-prefix) keyed
+// cache of post-step logits + hidden state whose hits replay kernel outputs
+// bitwise.
 class InferenceSession {
  public:
   explicit InferenceSession(const DeepSTModel* model);
@@ -88,9 +94,6 @@ class InferenceSession {
                                double deadline_ms = 0.0,
                                bool* budget_hit = nullptr);
   double ScoreRoute(const PredictionContext& ctx, const traj::Route& route);
-  double ScoreContinuation(const PredictionContext& ctx,
-                           const traj::Route& prefix,
-                           const traj::Route& continuation);
 
   // Batched scoring: all candidates advance through one padded
   // [batch, max_len] sequence of GRU steps. Results are bitwise identical
@@ -105,19 +108,19 @@ class InferenceSession {
 
   // -- Cross-query batching (the serve daemon's scheduler) --------------------
   // Work items are core::PredictItem / core::ScoreItem (deepst_model.h).
-  // Each item carries its own folded context; the queries share every padded
-  // GRU step, with each batch row reading its own query's context biases
-  // through the row-mapped kernel (nn::infer::LinearForwardRowBias). Kernels
-  // are row-local, so each item's result is bitwise identical to the
-  // corresponding single-query call on this session.
+  // Each item carries its own context; the queries share every padded GRU
+  // step.
   //
   // Lock-step beam search over several queries: every expansion step runs
-  // one padded StepBatch across all live hypotheses of all queries. Requires
-  // the deterministic MAP config (map_prediction && !sample_stop, checked):
-  // no rng draws occur, so batch composition cannot perturb any stream. A
-  // query whose deadline expires drops out of the batch with its best
-  // hypothesis so far; the others keep stepping.
-  void PredictRoutesBeamMulti(std::vector<PredictItem>* items);
+  // one padded StepBatch across all live hypotheses of all queries. A query
+  // whose deadline expires drops out of the batch with its best hypothesis
+  // so far; the others keep stepping. The beam's only rng use is
+  // ShouldStop, which draws only under sample_stop; such a call takes
+  // exactly one item and a non-null rng (checked), so the stops are drawn
+  // in the reference's beam order. Without sample_stop nothing is drawn and
+  // batch composition cannot perturb any stream.
+  void PredictRoutesBeamMulti(std::vector<PredictItem>* items,
+                              util::Rng* rng = nullptr);
   // Batched scoring across queries: every candidate route of every item
   // advances through one padded [rows, max_len] step sequence. Bitwise
   // identical per item to ScoreRoutes(*item.ctx, *item.routes).
@@ -142,8 +145,8 @@ class InferenceSession {
  private:
   // Scratch arena slot map. Per-layer slots follow the fixed block.
   enum Slot {
-    kCtxIh = 0,     // [1, 3H] layer-0 context input product + b_ih
-    kLogitBias,     // [1, N_max] alpha bias + dest_term + traffic_term
+    kCtxIh = 0,     // [Q, 3H] layer-0 context input product + b_ih
+    kLogitBias,     // [Q, N_max] alpha bias + dest_term + traffic_term
     kGi,            // [B, 3H]
     kGh,            // [B, 3H]
     kLogits,        // [B, N_max]
@@ -161,12 +164,9 @@ class InferenceSession {
   // state here (row-indexed like GatherSlot), bypassing StepBatch entirely.
   nn::Tensor* HitSlot(int layer) { return arena_.Get(HitSlotIndex(layer)); }
 
-  // Folds the per-query context into kCtxVec/kCtxIh/kLogitBias.
-  void PrepareContext(const PredictionContext& ctx);
-  // Multi-query variant: folds each context into its own row of kCtxIh
-  // ([Q, 3H]) and kLogitBias ([Q, N_max]); each row is produced by the same
-  // arithmetic as PrepareContext, so row q is bitwise identical to preparing
-  // context q alone.
+  // Folds context q into row q of kCtxIh ([Q, 3H]) and kLogitBias
+  // ([Q, N_max]) and pins the memo epoch. Each row comes from its own
+  // context alone, so it is bitwise the same in every batch.
   void PrepareContexts(const std::vector<const PredictionContext*>& ctxs);
   // Re-shapes the per-layer state slots to [batch, H] and zero-fills them
   // (float slots and their double mirrors alike).
@@ -185,13 +185,11 @@ class InferenceSession {
   // Route storage reserved per hypothesis: origin + max_route_steps + 1.
   size_t RouteCapacity() const;
   // One batched GRU step: reads tokens, updates the state slots in place
-  // and (when `want_logits`) fills kLogits with [batch, N_max] rows.
-  void StepBatch(const int* tokens, int64_t batch, bool want_logits);
-  // Multi-context step: row b reads the context biases of query row_ctx[b]
-  // (kCtxIh / kLogitBias as prepared by PrepareContexts). Row-for-row
-  // bitwise identical to StepBatch under that row's own context.
-  void StepBatchMulti(const int* tokens, const int* row_ctx, int64_t batch,
-                      bool want_logits);
+  // and (when `want_logits`) fills kLogits with [batch, N_max] rows. Row b
+  // reads the context biases of query row_ctx[b]; a null row_ctx reads
+  // query 0 for every row.
+  void StepBatch(const int* tokens, const int* row_ctx, int64_t batch,
+                 bool want_logits);
 
   // One beam-search hypothesis; fixed-capacity, reused across calls. The
   // route doubles as the loop guard's visited set (see OnRoute).
@@ -208,17 +206,16 @@ class InferenceSession {
     double Score() const;
   };
   void CopyHyp(const Hyp& src, Hyp* dst);
-  // Scores one padded batch of routes (shared tail of ScoreRoutes /
-  // ScoreContinuations); `first_scored` transitions only warm the state.
+  // Scores one padded batch of routes, row b under row_ctx[b]'s context
+  // (StepBatch's convention). Transitions before `first_scored` were already
+  // stepped (ScoreContinuations' shared prefix) and are not scored.
   void ScorePaddedBatch(const std::vector<const traj::Route*>& rows,
-                        size_t first_scored, std::vector<double>* out);
-  // Multi-context counterpart: row b steps under row_ctx[b]'s biases.
-  void ScorePaddedBatchMulti(const std::vector<const traj::Route*>& rows,
-                             const std::vector<int>& row_ctx,
-                             std::vector<double>* out);
+                        const int* row_ctx, size_t first_scored,
+                        std::vector<double>* out);
 
-  // Per-query beam bookkeeping for PredictRoutesBeamMulti; pools sized like
-  // the single-query beams_/pool_ and grown once to the largest batch seen.
+  // Per-query beam bookkeeping for PredictRoutesBeamMulti: fixed-capacity
+  // pools (width beams, width * (width + 1) candidates), grown once to the
+  // largest batch seen.
   struct QueryBeam {
     std::vector<Hyp> beams;
     std::vector<Hyp> pool;
@@ -231,8 +228,8 @@ class InferenceSession {
     util::Stopwatch watch;  // per-item deadline budget
   };
   void EnsureQueryBeams(size_t count);
-  // Copies the best hypothesis (preferring completed ones, like the single-
-  // query epilogue) into the item's route.
+  // Copies the best hypothesis (preferring completed ones, like the
+  // reference's epilogue) into the item's route.
   void FinalizeQuery(const QueryBeam& qb, PredictItem* item);
 
   // -- Memoization plumbing (memo_ == nullptr disables everything) -----------
@@ -257,14 +254,12 @@ class InferenceSession {
   int64_t emb_dim_;
   int64_t nmax_;
   // Shared transition memo cache (null = disabled). The epoch is pinned per
-  // query in PrepareContext(s), so a wholesale invalidation mid-query keeps
+  // call in PrepareContexts, so a wholesale invalidation mid-query keeps
   // this query's view self-consistent and its insertions dead on arrival.
   nn::infer::TransitionMemoCache* memo_;
   uint64_t memo_epoch_ = 0;
-  nn::infer::MemoKey ctx_key_;
-  std::vector<nn::infer::MemoKey> ctx_keys_;  // multi-query signatures
+  std::vector<nn::infer::MemoKey> ctx_keys_;  // per-query signatures
   std::vector<float*> state_ptrs_;            // [layers] pointer scratch
-  std::vector<int> hit_row_;  // single-query beam: beam index -> hit row
 
   nn::infer::Arena arena_;
   // Double-precision activation scratch fed to the GEMV kernels: gathered
@@ -281,25 +276,19 @@ class InferenceSession {
   std::vector<std::vector<double>> dgather_;  // per layer: [rows, H]
   int64_t scratch_grow_count_ = 0;
   std::vector<double> ctxd_;  // [ctx_dim]
-  // Beam pools: beams_ holds the current width hypotheses, pool_ the
-  // candidate set of one step (carried-over done beams + expansions).
-  std::vector<Hyp> beams_;
-  std::vector<Hyp> pool_;
-  size_t pool_size_ = 0;
-  std::vector<int> pool_order_;            // sort permutation over pool_
   std::vector<std::pair<double, int>> ranked_;  // slot ranking scratch
   std::vector<int> tokens_;
-  std::vector<int> active_row_;            // beam index -> batch row or -1
   std::vector<double> weights_;            // sampled-prediction scratch
   std::vector<const traj::Route*> rows_;   // batched-scoring row set
-  std::vector<int> row_index_;             // batch row -> caller index
-  std::vector<double> batch_out_;
-  // Cross-query batching scratch.
   std::vector<int> row_ctx_;               // batch row -> query index
+  std::vector<int> row_index_;             // batch row -> index in its query
+  std::vector<double> batch_out_;
   std::vector<const PredictionContext*> ctx_ptrs_;
   std::vector<QueryBeam> query_beams_;
-  traj::Route full_;                       // prefix + continuation scratch
-  std::vector<traj::Route> fulls_;
+  std::vector<traj::Route> fulls_;         // prefix + continuation scratch
+  // The one-item batches PredictRouteBeam and ScoreRoutes run.
+  std::vector<PredictItem> one_predict_;
+  std::vector<ScoreItem> one_score_;
 };
 
 }  // namespace infer

@@ -52,24 +52,22 @@ DEEPST_FORCE_INLINE double LaneSum(const Vec8& acc) {
 }
 
 // Epilogue of one double output element given its lane sum: the scalar K
-// tail [k0, k) from the row-major rows, the float cast, the bias adds.
+// tail [k0, k) from the row-major rows, the float cast, the bias add.
 DEEPST_FORCE_INLINE float FinishSum(double lanes, const double* xrow,
                                     const double* wrow, int64_t k, int64_t k0,
-                                    const float* bias, const float* bias2,
-                                    int64_t j) {
+                                    const float* bias, int64_t j) {
   double tail = 0.0;
   for (int64_t kk = k0; kk < k; ++kk) tail += xrow[kk] * wrow[kk];
   float v = static_cast<float>(lanes + tail);
   if (bias != nullptr) v += bias[j];
-  if (bias2 != nullptr) v += bias2[j];
   return v;
 }
 
 // One output element: an 8-lane double dot over k, lanes combined pairwise
-// in a fixed order, plus the optional biases. Inlined into each ISA clone
+// in a fixed order, plus the optional bias. Inlined into each ISA clone
 // of LinearChunk so the lane arithmetic picks up the clone's vector width.
 DEEPST_FORCE_INLINE float DotBias(const double* xrow, const double* wrow, int64_t k,
-                     const float* bias, const float* bias2, int64_t j) {
+                     const float* bias, int64_t j) {
   Vec8 acc = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   int64_t kk = 0;
   for (; kk + 8 <= k; kk += 8) {
@@ -78,45 +76,33 @@ DEEPST_FORCE_INLINE float DotBias(const double* xrow, const double* wrow, int64_
     std::memcpy(&wv, wrow + kk, sizeof(wv));
     acc += xv * wv;
   }
-  return FinishSum(LaneSum(acc), xrow, wrow, k, kk, bias, bias2, j);
+  return FinishSum(LaneSum(acc), xrow, wrow, k, kk, bias, j);
 }
 
-// One contiguous run [begin, end) of the flat row-major output; (i, j) are
-// tracked incrementally to keep integer divisions out of the loop.
+// Bias base of activation row i: row bias_row[i] of a [rows, n] bias block,
+// or `base` itself when no row map is given. Resolved once per output row
+// (per band in the blocked kernels); per element the arithmetic
+// (v += bias[j]) is the same for both call forms.
+DEEPST_FORCE_INLINE const float* BiasBase(const float* base, const int* bias_row, int64_t i,
+                             int64_t n) {
+  if (base == nullptr || bias_row == nullptr) return base;
+  return base + static_cast<int64_t>(bias_row[i]) * n;
+}
+
+// One contiguous run [begin, end) of the flat row-major output, walked row
+// by row: (i, j) are tracked incrementally to keep integer divisions out of
+// the loop, and the outer loop stops at `end`, so no row past the chunk's
+// last is resolved.
 DEEPST_INFER_CLONES
 void LinearChunk(const double* x, int64_t ldx, const double* w, int64_t ldw,
-                 const float* bias, const float* bias2, float* out, int64_t k,
+                 const float* bias, const int* bias_row, float* out, int64_t k,
                  int64_t n, int64_t begin, int64_t end) {
   int64_t i = begin / n;
   int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++e) {
-    out[e] = DotBias(x + i * ldx, w + j * ldw, k, bias, bias2, j);
-    if (++j == n) {
-      j = 0;
-      ++i;
-    }
-  }
-}
-
-// Row-mapped bias counterpart of LinearChunk: the bias rows live in a
-// [num_queries, n] block and `bias_row[i]` picks the row for output row i.
-// Reuses DotBias with per-row-offset pointers, so each element's arithmetic
-// is exactly LinearChunk's.
-DEEPST_INFER_CLONES
-void LinearChunkRowBias(const double* x, int64_t ldx, const double* w,
-                        int64_t ldw, const float* bias, const float* bias2,
-                        const int* bias_row, float* out, int64_t k, int64_t n,
-                        int64_t begin, int64_t end) {
-  int64_t i = begin / n;
-  int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++e) {
-    const int64_t off = static_cast<int64_t>(bias_row[i]) * n;
-    out[e] = DotBias(x + i * ldx, w + j * ldw, k,
-                     bias != nullptr ? bias + off : nullptr,
-                     bias2 != nullptr ? bias2 + off : nullptr, j);
-    if (++j == n) {
-      j = 0;
-      ++i;
+  for (int64_t e = begin; e < end; ++i, j = 0) {
+    const float* b = BiasBase(bias, bias_row, i, n);
+    for (; j < n && e < end; ++j, ++e) {
+      out[e] = DotBias(x + i * ldx, w + j * ldw, k, b, j);
     }
   }
 }
@@ -173,7 +159,7 @@ DEEPST_FORCE_INLINE float ToFloatRowSum(const double* src, float* dst, int64_t k
 // bf16 dot: weights widen to float lanes in-register (u16 -> u32<<16,
 // bit-cast); fixed 16-lane float accumulation.
 DEEPST_FORCE_INLINE float DotBiasBf16(const float* xrow, const uint16_t* wrow, int64_t k,
-                         const float* bias, const float* bias2, int64_t j) {
+                         const float* bias, int64_t j) {
   VecF16 acc = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
   int64_t kk = 0;
   for (; kk + 16 <= k; kk += 16) {
@@ -190,7 +176,6 @@ DEEPST_FORCE_INLINE float DotBiasBf16(const float* xrow, const uint16_t* wrow, i
   for (; kk < k; ++kk) tail += xrow[kk] * UnpackBf16(wrow[kk]);
   float v = LaneSumF16(acc) + tail;
   if (bias != nullptr) v += bias[j];
-  if (bias2 != nullptr) v += bias2[j];
   return v;
 }
 
@@ -202,7 +187,7 @@ DEEPST_FORCE_INLINE float DotBiasBf16(const float* xrow, const uint16_t* wrow, i
 // in double because z*xsum can be ~2^7 times the dot itself.
 DEEPST_FORCE_INLINE float DotBiasI8(const float* xrow, float xsum, const int8_t* qrow,
                        int64_t k, float scale, int32_t zero, const float* bias,
-                       const float* bias2, int64_t j) {
+                       int64_t j) {
   VecF16 acc = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
   int64_t kk = 0;
   for (; kk + 16 <= k; kk += 16) {
@@ -225,66 +210,25 @@ DEEPST_FORCE_INLINE float DotBiasI8(const float* xrow, float xsum, const int8_t*
                                  static_cast<double>(xsum));
   float v = static_cast<float>(sum);
   if (bias != nullptr) v += bias[j];
-  if (bias2 != nullptr) v += bias2[j];
   return v;
 }
 
-// Per-chunk activation-row staging for the float kernels: re-converts only
-// when the output row index advances (outputs are row-major, so each row
-// converts once per chunk).
-struct FloatRow {
-  float xf[kMaxFloatK];
-  float xsum = 0.0f;
-  int64_t row = -1;
-
-  DEEPST_FORCE_INLINE const float* Refresh(const double* x, int64_t ldx, int64_t k,
-                              int64_t i) {
-    if (i != row) {
-      xsum = ToFloatRowSum(x + i * ldx, xf, k);
-      row = i;
-    }
-    return xf;
-  }
-};
-
-// Packed-precision counterparts of LinearChunk / LinearChunkRowBias: same
-// flat [begin, end) partition and incremental (i, j) bookkeeping, different
-// weight decode. Cloned per ISA like the double kernels.
+// Packed-precision counterparts of LinearChunk: same flat [begin, end)
+// partition and row-by-row walk, different weight decode. Cloned per ISA
+// like the double kernels.
 DEEPST_INFER_CLONES
 void GemvChunkBf16(const double* x, int64_t ldx, const uint16_t* w,
-                   const float* bias, const float* bias2, float* out,
+                   const float* bias, const int* bias_row, float* out,
                    int64_t k, int64_t n, int64_t begin, int64_t end) {
   DEEPST_CHECK(k <= kMaxFloatK);
-  FloatRow fr;
+  float xf[kMaxFloatK];
   int64_t i = begin / n;
   int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++e) {
-    out[e] = DotBiasBf16(fr.Refresh(x, ldx, k, i), w + j * k, k, bias, bias2,
-                         j);
-    if (++j == n) {
-      j = 0;
-      ++i;
-    }
-  }
-}
-
-DEEPST_INFER_CLONES
-void GemvChunkBf16RowBias(const double* x, int64_t ldx, const uint16_t* w,
-                          const float* bias, const float* bias2,
-                          const int* bias_row, float* out, int64_t k,
-                          int64_t n, int64_t begin, int64_t end) {
-  DEEPST_CHECK(k <= kMaxFloatK);
-  FloatRow fr;
-  int64_t i = begin / n;
-  int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++e) {
-    const int64_t off = static_cast<int64_t>(bias_row[i]) * n;
-    out[e] = DotBiasBf16(fr.Refresh(x, ldx, k, i), w + j * k, k,
-                         bias != nullptr ? bias + off : nullptr,
-                         bias2 != nullptr ? bias2 + off : nullptr, j);
-    if (++j == n) {
-      j = 0;
-      ++i;
+  for (int64_t e = begin; e < end; ++i, j = 0) {
+    ToFloatRowSum(x + i * ldx, xf, k);
+    const float* b = BiasBase(bias, bias_row, i, n);
+    for (; j < n && e < end; ++j, ++e) {
+      out[e] = DotBiasBf16(xf, w + j * k, k, b, j);
     }
   }
 }
@@ -292,42 +236,17 @@ void GemvChunkBf16RowBias(const double* x, int64_t ldx, const uint16_t* w,
 DEEPST_INFER_CLONES
 void GemvChunkI8(const double* x, int64_t ldx, const int8_t* w,
                  const float* scale, const int32_t* zero, const float* bias,
-                 const float* bias2, float* out, int64_t k, int64_t n,
+                 const int* bias_row, float* out, int64_t k, int64_t n,
                  int64_t begin, int64_t end) {
   DEEPST_CHECK(k <= kMaxFloatK);
-  FloatRow fr;
+  float xf[kMaxFloatK];
   int64_t i = begin / n;
   int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++e) {
-    const float* xf = fr.Refresh(x, ldx, k, i);
-    out[e] = DotBiasI8(xf, fr.xsum, w + j * k, k, scale[j], zero[j], bias,
-                       bias2, j);
-    if (++j == n) {
-      j = 0;
-      ++i;
-    }
-  }
-}
-
-DEEPST_INFER_CLONES
-void GemvChunkI8RowBias(const double* x, int64_t ldx, const int8_t* w,
-                        const float* scale, const int32_t* zero,
-                        const float* bias, const float* bias2,
-                        const int* bias_row, float* out, int64_t k, int64_t n,
-                        int64_t begin, int64_t end) {
-  DEEPST_CHECK(k <= kMaxFloatK);
-  FloatRow fr;
-  int64_t i = begin / n;
-  int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++e) {
-    const int64_t off = static_cast<int64_t>(bias_row[i]) * n;
-    const float* xf = fr.Refresh(x, ldx, k, i);
-    out[e] = DotBiasI8(xf, fr.xsum, w + j * k, k, scale[j], zero[j],
-                       bias != nullptr ? bias + off : nullptr,
-                       bias2 != nullptr ? bias2 + off : nullptr, j);
-    if (++j == n) {
-      j = 0;
-      ++i;
+  for (int64_t e = begin; e < end; ++i, j = 0) {
+    const float xsum = ToFloatRowSum(x + i * ldx, xf, k);
+    const float* b = BiasBase(bias, bias_row, i, n);
+    for (; j < n && e < end; ++j, ++e) {
+      out[e] = DotBiasI8(xf, xsum, w + j * k, k, scale[j], zero[j], b, j);
     }
   }
 }
@@ -348,23 +267,13 @@ void GemvChunkI8RowBias(const double* x, int64_t ldx, const int8_t* w,
 // the same `acc += xv * wv` expression (so FP contraction fuses
 // identically), the same pairwise lane reduction (the double tile runs it
 // for all eight accumulators at once, LaneSums8), the same scalar K tail
-// from the row-major arrays, the same cast and bias adds — so the blocked
+// from the row-major arrays, the same cast and bias add — so the blocked
 // path is bitwise identical to the chunk path for all three precisions.
 // Partial bands (m % kGemmMr), row tails (n % kGemmNr) and K tails run
 // through the retained per-element helpers.
 
 constexpr Vec8 kZero8 = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
 constexpr VecF16 kZeroF16 = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-
-// Per-activation-row bias base: the row-mapped variant offsets bias/bias2 by
-// bias_row[i] * n, the shared variant uses one base for every row. Folding
-// the offset into a per-row pointer lets one band kernel serve both call
-// forms; per element the arithmetic (v += bias[j]) is unchanged.
-DEEPST_FORCE_INLINE const float* BiasBase(const float* base, const int* bias_row, int64_t i,
-                             int64_t n) {
-  if (base == nullptr || bias_row == nullptr) return base;
-  return base + static_cast<int64_t>(bias_row[i]) * n;
-}
 
 // Adjacent-lane pair sums of two accumulators side by side: lanes 0-3 of
 // *out hold a's pairs (a[0]+a[1], a[2]+a[3], a[4]+a[5], a[6]+a[7]), lanes
@@ -399,20 +308,18 @@ DEEPST_FORCE_INLINE void LaneSums8(const Vec8& a0, const Vec8& a1,
 // DotBiasBf16's epilogue for one accumulator.
 DEEPST_FORCE_INLINE float FinishBf16(const VecF16& acc, const float* xrow,
                         const uint16_t* wrow, int64_t k, int64_t k0,
-                        const float* bias, const float* bias2, int64_t j) {
+                        const float* bias, int64_t j) {
   float tail = 0.0f;
   for (int64_t kk = k0; kk < k; ++kk) tail += xrow[kk] * UnpackBf16(wrow[kk]);
   float v = LaneSumF16(acc) + tail;
   if (bias != nullptr) v += bias[j];
-  if (bias2 != nullptr) v += bias2[j];
   return v;
 }
 
 // DotBiasI8's epilogue for one accumulator (double combine, see DotBiasI8).
 DEEPST_FORCE_INLINE float FinishI8(const VecF16& acc, const float* xrow, float xsum,
                       const int8_t* qrow, int64_t k, int64_t k0, float scale,
-                      int32_t zero, const float* bias, const float* bias2,
-                      int64_t j) {
+                      int32_t zero, const float* bias, int64_t j) {
   float tacc = 0.0f;
   for (int64_t kk = k0; kk < k; ++kk) {
     tacc += xrow[kk] * static_cast<float>(qrow[kk]);
@@ -423,7 +330,6 @@ DEEPST_FORCE_INLINE float FinishI8(const VecF16& acc, const float* xrow, float x
                                  static_cast<double>(xsum));
   float v = static_cast<float>(sum);
   if (bias != nullptr) v += bias[j];
-  if (bias2 != nullptr) v += bias2[j];
   return v;
 }
 
@@ -433,9 +339,9 @@ DEEPST_FORCE_INLINE float FinishI8(const VecF16& acc, const float* xrow, float x
 // PackedMatrix::BuildPanels, `w` the retained row-major matrix for tails.
 DEEPST_INFER_CLONES
 void GemmBandsD(const double* x, int64_t ldx, const double* w,
-                const double* panels, const float* bias, const float* bias2,
-                const int* bias_row, float* out, int64_t m, int64_t k,
-                int64_t n, int64_t band_begin, int64_t band_end) {
+                const double* panels, const float* bias, const int* bias_row,
+                float* out, int64_t m, int64_t k, int64_t n,
+                int64_t band_begin, int64_t band_end) {
   const int64_t kb = k / 8;
   const int64_t np = n / kGemmNr;
   const int64_t pstride = kb * kGemmNr * 8;
@@ -444,11 +350,9 @@ void GemmBandsD(const double* x, int64_t ldx, const double* w,
     const int64_t mr = std::min<int64_t>(kGemmMr, m - i0);
     const double* xr[kGemmMr] = {};
     const float* b0[kGemmMr] = {};
-    const float* b1[kGemmMr] = {};
     for (int64_t r = 0; r < mr; ++r) {
       xr[r] = x + (i0 + r) * ldx;
       b0[r] = BiasBase(bias, bias_row, i0 + r, n);
-      b1[r] = BiasBase(bias2, bias_row, i0 + r, n);
     }
     if (mr == kGemmMr) {
       for (int64_t p = 0; p < np; ++p) {
@@ -483,26 +387,24 @@ void GemmBandsD(const double* x, int64_t ldx, const double* w,
         float* o1 = out + (i0 + 1) * n + j0;
         float* o2 = out + (i0 + 2) * n + j0;
         float* o3 = out + (i0 + 3) * n + j0;
-        o0[0] = FinishSum(s[0], xr[0], w0r, k, kk, b0[0], b1[0], j0);
-        o0[1] = FinishSum(s[1], xr[0], w1r, k, kk, b0[0], b1[0], j0 + 1);
-        o1[0] = FinishSum(s[2], xr[1], w0r, k, kk, b0[1], b1[1], j0);
-        o1[1] = FinishSum(s[3], xr[1], w1r, k, kk, b0[1], b1[1], j0 + 1);
-        o2[0] = FinishSum(s[4], xr[2], w0r, k, kk, b0[2], b1[2], j0);
-        o2[1] = FinishSum(s[5], xr[2], w1r, k, kk, b0[2], b1[2], j0 + 1);
-        o3[0] = FinishSum(s[6], xr[3], w0r, k, kk, b0[3], b1[3], j0);
-        o3[1] = FinishSum(s[7], xr[3], w1r, k, kk, b0[3], b1[3], j0 + 1);
+        o0[0] = FinishSum(s[0], xr[0], w0r, k, kk, b0[0], j0);
+        o0[1] = FinishSum(s[1], xr[0], w1r, k, kk, b0[0], j0 + 1);
+        o1[0] = FinishSum(s[2], xr[1], w0r, k, kk, b0[1], j0);
+        o1[1] = FinishSum(s[3], xr[1], w1r, k, kk, b0[1], j0 + 1);
+        o2[0] = FinishSum(s[4], xr[2], w0r, k, kk, b0[2], j0);
+        o2[1] = FinishSum(s[5], xr[2], w1r, k, kk, b0[2], j0 + 1);
+        o3[0] = FinishSum(s[6], xr[3], w0r, k, kk, b0[3], j0);
+        o3[1] = FinishSum(s[7], xr[3], w1r, k, kk, b0[3], j0 + 1);
       }
       for (int64_t j = np * kGemmNr; j < n; ++j) {
         for (int64_t r = 0; r < kGemmMr; ++r) {
-          out[(i0 + r) * n + j] = DotBias(xr[r], w + j * k, k, b0[r], b1[r],
-                                          j);
+          out[(i0 + r) * n + j] = DotBias(xr[r], w + j * k, k, b0[r], j);
         }
       }
     } else {
       for (int64_t r = 0; r < mr; ++r) {
         for (int64_t j = 0; j < n; ++j) {
-          out[(i0 + r) * n + j] = DotBias(xr[r], w + j * k, k, b0[r], b1[r],
-                                          j);
+          out[(i0 + r) * n + j] = DotBias(xr[r], w + j * k, k, b0[r], j);
         }
       }
     }
@@ -515,9 +417,8 @@ void GemmBandsD(const double* x, int64_t ldx, const double* w,
 DEEPST_INFER_CLONES
 void GemmBandsBf16(const double* x, int64_t ldx, const uint16_t* w,
                    const uint16_t* panels, const float* bias,
-                   const float* bias2, const int* bias_row, float* out,
-                   int64_t m, int64_t k, int64_t n, int64_t band_begin,
-                   int64_t band_end) {
+                   const int* bias_row, float* out, int64_t m, int64_t k,
+                   int64_t n, int64_t band_begin, int64_t band_end) {
   DEEPST_CHECK(k <= kMaxFloatK);
   const int64_t kb = k / 16;
   const int64_t np = n / kGemmNr;
@@ -527,11 +428,9 @@ void GemmBandsBf16(const double* x, int64_t ldx, const uint16_t* w,
     const int64_t i0 = band * kGemmMr;
     const int64_t mr = std::min<int64_t>(kGemmMr, m - i0);
     const float* b0[kGemmMr] = {};
-    const float* b1[kGemmMr] = {};
     for (int64_t r = 0; r < mr; ++r) {
       ToFloatRowSum(x + (i0 + r) * ldx, xf[r], k);
       b0[r] = BiasBase(bias, bias_row, i0 + r, n);
-      b1[r] = BiasBase(bias2, bias_row, i0 + r, n);
     }
     if (mr == kGemmMr) {
       for (int64_t p = 0; p < np; ++p) {
@@ -570,26 +469,26 @@ void GemmBandsBf16(const double* x, int64_t ldx, const uint16_t* w,
         float* o1 = out + (i0 + 1) * n + j0;
         float* o2 = out + (i0 + 2) * n + j0;
         float* o3 = out + (i0 + 3) * n + j0;
-        o0[0] = FinishBf16(a00, xf[0], w0r, k, kk, b0[0], b1[0], j0);
-        o0[1] = FinishBf16(a01, xf[0], w1r, k, kk, b0[0], b1[0], j0 + 1);
-        o1[0] = FinishBf16(a10, xf[1], w0r, k, kk, b0[1], b1[1], j0);
-        o1[1] = FinishBf16(a11, xf[1], w1r, k, kk, b0[1], b1[1], j0 + 1);
-        o2[0] = FinishBf16(a20, xf[2], w0r, k, kk, b0[2], b1[2], j0);
-        o2[1] = FinishBf16(a21, xf[2], w1r, k, kk, b0[2], b1[2], j0 + 1);
-        o3[0] = FinishBf16(a30, xf[3], w0r, k, kk, b0[3], b1[3], j0);
-        o3[1] = FinishBf16(a31, xf[3], w1r, k, kk, b0[3], b1[3], j0 + 1);
+        o0[0] = FinishBf16(a00, xf[0], w0r, k, kk, b0[0], j0);
+        o0[1] = FinishBf16(a01, xf[0], w1r, k, kk, b0[0], j0 + 1);
+        o1[0] = FinishBf16(a10, xf[1], w0r, k, kk, b0[1], j0);
+        o1[1] = FinishBf16(a11, xf[1], w1r, k, kk, b0[1], j0 + 1);
+        o2[0] = FinishBf16(a20, xf[2], w0r, k, kk, b0[2], j0);
+        o2[1] = FinishBf16(a21, xf[2], w1r, k, kk, b0[2], j0 + 1);
+        o3[0] = FinishBf16(a30, xf[3], w0r, k, kk, b0[3], j0);
+        o3[1] = FinishBf16(a31, xf[3], w1r, k, kk, b0[3], j0 + 1);
       }
       for (int64_t j = np * kGemmNr; j < n; ++j) {
         for (int64_t r = 0; r < kGemmMr; ++r) {
           out[(i0 + r) * n + j] =
-              DotBiasBf16(xf[r], w + j * k, k, b0[r], b1[r], j);
+              DotBiasBf16(xf[r], w + j * k, k, b0[r], j);
         }
       }
     } else {
       for (int64_t r = 0; r < mr; ++r) {
         for (int64_t j = 0; j < n; ++j) {
           out[(i0 + r) * n + j] =
-              DotBiasBf16(xf[r], w + j * k, k, b0[r], b1[r], j);
+              DotBiasBf16(xf[r], w + j * k, k, b0[r], j);
         }
       }
     }
@@ -601,9 +500,9 @@ void GemmBandsBf16(const double* x, int64_t ldx, const uint16_t* w,
 DEEPST_INFER_CLONES
 void GemmBandsI8(const double* x, int64_t ldx, const int8_t* w,
                  const int8_t* panels, const float* scale,
-                 const int32_t* zero, const float* bias, const float* bias2,
-                 const int* bias_row, float* out, int64_t m, int64_t k,
-                 int64_t n, int64_t band_begin, int64_t band_end) {
+                 const int32_t* zero, const float* bias, const int* bias_row,
+                 float* out, int64_t m, int64_t k, int64_t n,
+                 int64_t band_begin, int64_t band_end) {
   DEEPST_CHECK(k <= kMaxFloatK);
   const int64_t kb = k / 16;
   const int64_t np = n / kGemmNr;
@@ -614,11 +513,9 @@ void GemmBandsI8(const double* x, int64_t ldx, const int8_t* w,
     const int64_t i0 = band * kGemmMr;
     const int64_t mr = std::min<int64_t>(kGemmMr, m - i0);
     const float* b0[kGemmMr] = {};
-    const float* b1[kGemmMr] = {};
     for (int64_t r = 0; r < mr; ++r) {
       xsum[r] = ToFloatRowSum(x + (i0 + r) * ldx, xf[r], k);
       b0[r] = BiasBase(bias, bias_row, i0 + r, n);
-      b1[r] = BiasBase(bias2, bias_row, i0 + r, n);
     }
     if (mr == kGemmMr) {
       for (int64_t p = 0; p < np; ++p) {
@@ -662,35 +559,33 @@ void GemmBandsI8(const double* x, int64_t ldx, const int8_t* w,
         float* o2 = out + (i0 + 2) * n + j0;
         float* o3 = out + (i0 + 3) * n + j0;
         o0[0] = FinishI8(a00, xf[0], xsum[0], w0r, k, kk, scale[j0],
-                         zero[j0], b0[0], b1[0], j0);
+                         zero[j0], b0[0], j0);
         o0[1] = FinishI8(a01, xf[0], xsum[0], w1r, k, kk, scale[j0 + 1],
-                         zero[j0 + 1], b0[0], b1[0], j0 + 1);
+                         zero[j0 + 1], b0[0], j0 + 1);
         o1[0] = FinishI8(a10, xf[1], xsum[1], w0r, k, kk, scale[j0],
-                         zero[j0], b0[1], b1[1], j0);
+                         zero[j0], b0[1], j0);
         o1[1] = FinishI8(a11, xf[1], xsum[1], w1r, k, kk, scale[j0 + 1],
-                         zero[j0 + 1], b0[1], b1[1], j0 + 1);
+                         zero[j0 + 1], b0[1], j0 + 1);
         o2[0] = FinishI8(a20, xf[2], xsum[2], w0r, k, kk, scale[j0],
-                         zero[j0], b0[2], b1[2], j0);
+                         zero[j0], b0[2], j0);
         o2[1] = FinishI8(a21, xf[2], xsum[2], w1r, k, kk, scale[j0 + 1],
-                         zero[j0 + 1], b0[2], b1[2], j0 + 1);
+                         zero[j0 + 1], b0[2], j0 + 1);
         o3[0] = FinishI8(a30, xf[3], xsum[3], w0r, k, kk, scale[j0],
-                         zero[j0], b0[3], b1[3], j0);
+                         zero[j0], b0[3], j0);
         o3[1] = FinishI8(a31, xf[3], xsum[3], w1r, k, kk, scale[j0 + 1],
-                         zero[j0 + 1], b0[3], b1[3], j0 + 1);
+                         zero[j0 + 1], b0[3], j0 + 1);
       }
       for (int64_t j = np * kGemmNr; j < n; ++j) {
         for (int64_t r = 0; r < kGemmMr; ++r) {
           out[(i0 + r) * n + j] = DotBiasI8(xf[r], xsum[r], w + j * k, k,
-                                            scale[j], zero[j], b0[r], b1[r],
-                                            j);
+                                            scale[j], zero[j], b0[r], j);
         }
       }
     } else {
       for (int64_t r = 0; r < mr; ++r) {
         for (int64_t j = 0; j < n; ++j) {
           out[(i0 + r) * n + j] = DotBiasI8(xf[r], xsum[r], w + j * k, k,
-                                            scale[j], zero[j], b0[r], b1[r],
-                                            j);
+                                            scale[j], zero[j], b0[r], j);
         }
       }
     }
@@ -702,28 +597,27 @@ void GemmBandsI8(const double* x, int64_t ldx, const int8_t* w,
 // outputs) so a micro-tile is never split; each band's outputs depend only
 // on (x, w), not on which chunk computed them.
 void GemmBlocked(const double* x, int64_t ldx, const PackedMatrix& w,
-                 const float* bias, const float* bias2, const int* bias_row,
-                 float* out, int64_t m, int64_t n) {
+                 const float* bias, const int* bias_row, float* out, int64_t m,
+                 int64_t n) {
   const int64_t k = w.cols;
   const int64_t bands = (m + kGemmMr - 1) / kGemmMr;
   switch (w.precision) {
     case Precision::kDouble:
       ParallelFor(bands, 1, [&](int64_t b0, int64_t b1) {
-        GemmBandsD(x, ldx, w.d.data(), w.pd.data(), bias, bias2, bias_row,
-                   out, m, k, n, b0, b1);
+        GemmBandsD(x, ldx, w.d.data(), w.pd.data(), bias, bias_row, out, m,
+                   k, n, b0, b1);
       });
       return;
     case Precision::kBf16:
       ParallelFor(bands, 1, [&](int64_t b0, int64_t b1) {
-        GemmBandsBf16(x, ldx, w.h.data(), w.ph.data(), bias, bias2, bias_row,
-                      out, m, k, n, b0, b1);
+        GemmBandsBf16(x, ldx, w.h.data(), w.ph.data(), bias, bias_row, out,
+                      m, k, n, b0, b1);
       });
       return;
     case Precision::kInt8:
       ParallelFor(bands, 1, [&](int64_t b0, int64_t b1) {
         GemmBandsI8(x, ldx, w.q.data(), w.pq.data(), w.scale.data(),
-                    w.zero.data(), bias, bias2, bias_row, out, m, k, n, b0,
-                    b1);
+                    w.zero.data(), bias, bias_row, out, m, k, n, b0, b1);
       });
       return;
   }
@@ -782,23 +676,13 @@ void ToDouble(const float* src, double* dst, int64_t n) {
 }
 
 void LinearForward(const double* x, int64_t ldx, const double* w, int64_t ldw,
-                   const float* bias, const float* bias2, float* out,
+                   const float* bias, const int* bias_row, float* out,
                    int64_t m, int64_t k, int64_t n) {
   // Flat partition over output elements (i, j): chunk boundaries depend only
   // on (m*n, kDotGrain) and each element's accumulation order is fixed, so
   // the schedule is invisible in the result.
   ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-    LinearChunk(x, ldx, w, ldw, bias, bias2, out, k, n, begin, end);
-  });
-}
-
-void LinearForwardRowBias(const double* x, int64_t ldx, const double* w,
-                          int64_t ldw, const float* bias, const float* bias2,
-                          const int* bias_row, float* out, int64_t m,
-                          int64_t k, int64_t n) {
-  ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-    LinearChunkRowBias(x, ldx, w, ldw, bias, bias2, bias_row, out, k, n,
-                       begin, end);
+    LinearChunk(x, ldx, w, ldw, bias, bias_row, out, k, n, begin, end);
   });
 }
 
@@ -935,57 +819,28 @@ size_t PackedMatrix::PanelBytes() const {
 }
 
 void GemvForward(const double* x, int64_t ldx, const PackedMatrix& w,
-                 const float* bias, const float* bias2, float* out, int64_t m,
+                 const float* bias, const int* bias_row, float* out, int64_t m,
                  int64_t n) {
   DEEPST_DCHECK(w.rows == n);
   const int64_t k = w.cols;
   if (m > 1 && w.has_panels()) {
-    GemmBlocked(x, ldx, w, bias, bias2, nullptr, out, m, n);
+    GemmBlocked(x, ldx, w, bias, bias_row, out, m, n);
     return;
   }
   switch (w.precision) {
     case Precision::kDouble:
-      LinearForward(x, ldx, w.d.data(), k, bias, bias2, out, m, k, n);
+      LinearForward(x, ldx, w.d.data(), k, bias, bias_row, out, m, k, n);
       return;
     case Precision::kBf16:
       ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-        GemvChunkBf16(x, ldx, w.h.data(), bias, bias2, out, k, n, begin, end);
+        GemvChunkBf16(x, ldx, w.h.data(), bias, bias_row, out, k, n, begin,
+                      end);
       });
       return;
     case Precision::kInt8:
       ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
         GemvChunkI8(x, ldx, w.q.data(), w.scale.data(), w.zero.data(), bias,
-                    bias2, out, k, n, begin, end);
-      });
-      return;
-  }
-}
-
-void GemvForwardRowBias(const double* x, int64_t ldx, const PackedMatrix& w,
-                        const float* bias, const float* bias2,
-                        const int* bias_row, float* out, int64_t m,
-                        int64_t n) {
-  DEEPST_DCHECK(w.rows == n);
-  const int64_t k = w.cols;
-  if (m > 1 && w.has_panels()) {
-    GemmBlocked(x, ldx, w, bias, bias2, bias_row, out, m, n);
-    return;
-  }
-  switch (w.precision) {
-    case Precision::kDouble:
-      LinearForwardRowBias(x, ldx, w.d.data(), k, bias, bias2, bias_row, out,
-                           m, k, n);
-      return;
-    case Precision::kBf16:
-      ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-        GemvChunkBf16RowBias(x, ldx, w.h.data(), bias, bias2, bias_row, out,
-                             k, n, begin, end);
-      });
-      return;
-    case Precision::kInt8:
-      ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-        GemvChunkI8RowBias(x, ldx, w.q.data(), w.scale.data(), w.zero.data(),
-                           bias, bias2, bias_row, out, k, n, begin, end);
+                    bias_row, out, k, n, begin, end);
       });
       return;
   }

@@ -48,30 +48,21 @@ inline constexpr int64_t kGemmNr = 2;
 // dst[i] = double(src[i]); exact for every float.
 void ToDouble(const float* src, double* dst, int64_t n);
 
-// out[i, j] = sum_kk x[i*ldx + kk] * w[j*ldw + kk] + (bias ? bias[j] : 0)
-//             + (bias2 ? bias2[j] : 0)
+// out[i, j] = sum_kk x[i*ldx + kk] * w[j*ldw + kk] + (bias ? b_i[j] : 0)
 // for i in [0, m), j in [0, n), kk in [0, k). `ldx`/`ldw` are the row
 // strides of x and w (>= k), so callers can multiply against a column slice
 // of a [Out, In] weight matrix without materializing it. Overwrites out.
-// The optional second bias folds a per-query context term (e.g. the
-// destination logit bias) into the same pass.
+//
+// `bias_row` maps output rows onto the rows of a [rows, n] bias block:
+// b_i = bias + bias_row[i] * n, or b_i = bias for every row when bias_row
+// is null. Cross-query batches use it to give each batch row its own
+// query's context bias. Per output element the arithmetic is the same
+// either way (double-precision dot, one float cast, one float bias add), so
+// a row's result depends only on its own x row and bias row, never on the
+// rows batched beside it.
 void LinearForward(const double* x, int64_t ldx, const double* w, int64_t ldw,
-                   const float* bias, const float* bias2, float* out,
+                   const float* bias, const int* bias_row, float* out,
                    int64_t m, int64_t k, int64_t n);
-
-// Row-mapped bias variant for cross-query batches: output row i adds the
-// bias row `bias_row[i]` of a [num_queries, n] bias block (and likewise for
-// bias2) instead of one shared row. Per output element the arithmetic is
-// identical to LinearForward — double-precision dot, one float cast, float
-// bias adds in the same order — so a batch that interleaves rows of several
-// queries is bitwise identical, row for row, to running each query's rows
-// through LinearForward with its own bias row. This is what lets the
-// serving scheduler coalesce beam steps and ScoreRoutes calls from
-// different clients into one padded batch without perturbing any result.
-void LinearForwardRowBias(const double* x, int64_t ldx, const double* w,
-                          int64_t ldw, const float* bias, const float* bias2,
-                          const int* bias_row, float* out, int64_t m,
-                          int64_t k, int64_t n);
 
 // A weight matrix packed once for the GEMV fast path, in one of the
 // precisions of nn/infer/precision.h. Packing reads a [rows, cols] block of
@@ -144,13 +135,12 @@ struct PackedMatrix {
 };
 
 // GEMV against a packed matrix:
-//   out[i, j] = dot(x[i, :], dequant(w[j, :])) + (bias ? bias[j] : 0)
-//             + (bias2 ? bias2[j] : 0)
-// Same contract as LinearForward with w.rows == n, w.cols == k; for a
-// kDouble matrix the result is bitwise identical to LinearForward. All
-// precisions keep the kernels' determinism contract: row-local, fixed-order
-// accumulation, bitwise identical across ISA clones / thread counts / batch
-// compositions.
+//   out[i, j] = dot(x[i, :], dequant(w[j, :])) + (bias ? b_i[j] : 0)
+// Same contract as LinearForward (bias_row included) with w.rows == n,
+// w.cols == k; for a kDouble matrix the result is bitwise identical to
+// LinearForward. All precisions keep the kernels' determinism contract:
+// row-local, fixed-order accumulation, bitwise identical across ISA clones /
+// thread counts / batch compositions.
 //
 // When `m > 1` and the matrix carries a panel sidecar (BuildPanels), the
 // call routes through register-blocked kGemmMr x kGemmNr GEMM micro-kernels
@@ -163,13 +153,8 @@ struct PackedMatrix {
 // tile reduces its eight accumulators together (a transposed pairwise
 // tree, each sum in the chunk kernel's pairing order).
 void GemvForward(const double* x, int64_t ldx, const PackedMatrix& w,
-                 const float* bias, const float* bias2, float* out, int64_t m,
+                 const float* bias, const int* bias_row, float* out, int64_t m,
                  int64_t n);
-
-// Row-mapped bias variant (see LinearForwardRowBias).
-void GemvForwardRowBias(const double* x, int64_t ldx, const PackedMatrix& w,
-                        const float* bias, const float* bias2,
-                        const int* bias_row, float* out, int64_t m, int64_t n);
 
 // Outputs per panel of an OutputMajorMatrix: LinearRowOutputMajor keeps one
 // panel's outputs in vector accumulators across the whole K loop.

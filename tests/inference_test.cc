@@ -147,24 +147,104 @@ TEST(InferenceParityTest, PredictedRoutesMatchReferenceAcrossAblations) {
   }
 }
 
+bool SameRngState(const util::Rng& a, const util::Rng& b) {
+  const util::Rng::State x = a.GetState();
+  const util::Rng::State y = b.GetState();
+  return std::memcmp(x.s, y.s, sizeof(x.s)) == 0 &&
+         x.has_cached_gaussian == y.has_cached_gaussian &&
+         (x.has_cached_gaussian == 0 || x.cached_gaussian == y.cached_gaussian);
+}
+
+// The configurations whose generation draws from the rng (sampled slots,
+// sampled stops) plus the width-1 beam: from equal seeds the fast path makes
+// the reference's draws in the reference's order, so routes and the rng's
+// end state both match. The batched entry point must make the same draws as
+// one PredictRouteBeam call per item on the shared rng.
+TEST(InferenceParityTest, RngDrawingConfigsMatchReference) {
+  auto& world = TestWorld();
+  const auto trips = TestTrips(3);
+  ASSERT_EQ(trips.size(), 3u);
+  struct Variant {
+    const char* name;
+    bool map_prediction;
+    bool sample_stop;
+    int beam_width;
+  };
+  const Variant variants[] = {{"sampled-slots", false, false, 4},
+                              {"sampled-stop", true, true, 4},
+                              {"sampled-both", false, true, 4},
+                              {"width-1", true, false, 1}};
+  for (const auto& [name, base] : AblationConfigs()) {
+    for (const Variant& v : variants) {
+      DeepSTConfig cfg = base;
+      cfg.map_prediction = v.map_prediction;
+      cfg.sample_stop = v.sample_stop;
+      cfg.beam_width = v.beam_width;
+      const std::string label = name + "/" + v.name;
+      DeepSTModel model(world.net(), cfg, CacheFor(cfg));
+      util::Rng ctx_rng(23);
+      std::vector<PredictionContext> ctxs;
+      std::vector<roadnet::SegmentId> origins;
+      for (const auto* rec : trips) {
+        const RouteQuery query = eval::QueryFor(rec->trip);
+        ctxs.push_back(model.MakeContext(query, &ctx_rng));
+        origins.push_back(query.origin);
+      }
+      util::Rng seq_rng(11);
+      std::vector<traj::Route> sequential;
+      for (size_t i = 0; i < trips.size(); ++i) {
+        util::Rng fast_rng(5 + i), ref_rng(5 + i);
+        EXPECT_EQ(model.PredictRoute(ctxs[i], origins[i], &fast_rng),
+                  model.PredictRouteReference(ctxs[i], origins[i], &ref_rng))
+            << label << " trip " << i;
+        EXPECT_TRUE(SameRngState(fast_rng, ref_rng)) << label << " trip " << i;
+        util::Rng beam_rng(17 + i), beam_ref_rng(17 + i);
+        EXPECT_EQ(
+            model.PredictRouteBeam(ctxs[i], origins[i], &beam_rng),
+            model.PredictRouteBeamReference(ctxs[i], origins[i], &beam_ref_rng))
+            << label << " trip " << i;
+        EXPECT_TRUE(SameRngState(beam_rng, beam_ref_rng))
+            << label << " trip " << i;
+        sequential.push_back(
+            model.PredictRouteBeam(ctxs[i], origins[i], &seq_rng));
+      }
+      std::vector<PredictItem> items(trips.size());
+      for (size_t i = 0; i < items.size(); ++i) {
+        items[i].ctx = &ctxs[i];
+        items[i].origin = origins[i];
+      }
+      util::Rng multi_rng(11);
+      model.PredictRoutesBeamMulti(&items, &multi_rng);
+      for (size_t i = 0; i < items.size(); ++i) {
+        EXPECT_EQ(items[i].route, sequential[i]) << label << " item " << i;
+      }
+      EXPECT_TRUE(SameRngState(multi_rng, seq_rng)) << label;
+    }
+  }
+}
+
 TEST(InferenceRegressionTest, BeamWidthOneEqualsGreedy) {
   auto& world = TestWorld();
   const auto trips = TestTrips(6);
   DeepSTConfig cfg = SmallConfig();
   cfg.use_traffic = false;
   cfg.beam_width = 1;
+  DeepSTModel model(world.net(), cfg, nullptr);
   for (const bool graph : {false, true}) {
-    cfg.graph_inference = graph;
-    DeepSTModel model(world.net(), cfg, nullptr);
     for (uint64_t seed : {3u, 17u, 99u}) {
       util::Rng rng(seed);
       for (const auto* rec : trips) {
         RouteQuery query = eval::QueryFor(rec->trip);
         PredictionContext ctx = model.MakeContext(query, &rng);
         util::Rng rng_greedy(seed + 1), rng_beam(seed + 1);
-        EXPECT_EQ(model.PredictRoute(ctx, query.origin, &rng_greedy),
-                  model.PredictRouteBeam(ctx, query.origin, &rng_beam))
-            << "graph_inference=" << graph << " seed=" << seed;
+        const traj::Route greedy =
+            graph ? model.PredictRouteReference(ctx, query.origin, &rng_greedy)
+                  : model.PredictRoute(ctx, query.origin, &rng_greedy);
+        const traj::Route beam =
+            graph ? model.PredictRouteBeamReference(ctx, query.origin,
+                                                    &rng_beam)
+                  : model.PredictRouteBeam(ctx, query.origin, &rng_beam);
+        EXPECT_EQ(greedy, beam) << "reference=" << graph << " seed=" << seed;
       }
     }
   }
@@ -348,6 +428,65 @@ TEST(InferenceArenaTest, ZeroAllocationSteadyState) {
   EXPECT_EQ(CountAllocs([&] { session.ScoreRoutesMulti(&sitems); }).count,
             0);
 #endif  // DEEPST_COUNT_ALLOCS
+}
+
+// The session calls ZeroAllocationSteadyState leaves out: PredictRoute's
+// step loop (greedy at beam_width 1, sampled without map_prediction),
+// shared-prefix continuation scoring and the teacher-forced top-1 slots.
+TEST(InferenceArenaTest, StepLoopCallsAllocateOnlyTheirResult) {
+  auto& world = TestWorld();
+  const auto trips = TestTrips(1);
+  ASSERT_EQ(trips.size(), 1u);
+  const traj::Route& route = trips[0]->trip.route;
+  const RouteQuery query = eval::QueryFor(trips[0]->trip);
+  const size_t cut = route.size() / 2;
+  const traj::Route prefix(route.begin(), route.begin() + cut + 1);
+  std::vector<traj::Route> candidates;
+  candidates.emplace_back(route.begin() + cut, route.end());
+  for (roadnet::SegmentId next : world.net().OutSegments(prefix.back())) {
+    candidates.push_back({prefix.back(), next});
+  }
+  DeepSTConfig greedy = SmallConfig();
+  greedy.beam_width = 1;
+  DeepSTConfig sampled = SmallConfig();
+  sampled.map_prediction = false;
+  for (const DeepSTConfig& cfg : {greedy, sampled}) {
+    DeepSTModel model(world.net(), cfg, world.traffic_cache());
+    infer::InferenceSession session(&model);
+    util::Rng rng(52);
+    const PredictionContext ctx = model.MakeContext(query, &rng);
+    traj::Route predicted;
+    std::vector<double> scores;
+    std::vector<int> slots;
+    slots.reserve(route.size());
+    auto run = [&] {
+      util::Rng r(9);
+      predicted = session.PredictRoute(ctx, query.origin, &r);
+      scores = session.ScoreContinuations(ctx, prefix, candidates);
+      session.TopSlotsAlongRoute(ctx, route, &slots);
+    };
+    run();
+    const int64_t warm = session.arena_grow_count();
+    const int64_t warm_scratch = session.scratch_grow_count();
+    run();
+    EXPECT_EQ(session.arena_grow_count(), warm);
+    EXPECT_EQ(session.scratch_grow_count(), warm_scratch);
+#if DEEPST_COUNT_ALLOCS
+    util::Rng r(9);
+    EXPECT_EQ(CountAllocs([&] {
+                predicted = session.PredictRoute(ctx, query.origin, &r);
+              }).count,
+              1);  // the returned route
+    EXPECT_EQ(CountAllocs([&] {
+                scores = session.ScoreContinuations(ctx, prefix, candidates);
+              }).count,
+              1);  // the returned scores
+    EXPECT_EQ(CountAllocs([&] {
+                session.TopSlotsAlongRoute(ctx, route, &slots);
+              }).count,
+              0);
+#endif  // DEEPST_COUNT_ALLOCS
+  }
 }
 
 #if DEEPST_COUNT_ALLOCS

@@ -189,8 +189,8 @@ TEST(GemvTest, RowBiasMatchesPerRowCalls) {
        {Precision::kDouble, Precision::kBf16, Precision::kInt8}) {
     const PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k, prec);
     std::vector<float> got(static_cast<size_t>(m * n));
-    nn::infer::GemvForwardRowBias(x.data(), k, p, bias.data(), nullptr,
-                                  bias_row.data(), got.data(), m, n);
+    nn::infer::GemvForward(x.data(), k, p, bias.data(), bias_row.data(),
+                           got.data(), m, n);
     for (int64_t i = 0; i < m; ++i) {
       std::vector<float> row(static_cast<size_t>(n));
       nn::infer::GemvForward(x.data() + i * k, k, p,
@@ -307,10 +307,10 @@ TEST(GemmTest, RowBiasBlockedMatchesChunkBitwise) {
     blocked.BuildPanels();
     std::vector<float> chunk(static_cast<size_t>(m * n));
     std::vector<float> gemm(static_cast<size_t>(m * n));
-    nn::infer::GemvForwardRowBias(x.data(), k, bare, bias.data(), nullptr,
-                                  bias_row.data(), chunk.data(), m, n);
-    nn::infer::GemvForwardRowBias(x.data(), k, blocked, bias.data(), nullptr,
-                                  bias_row.data(), gemm.data(), m, n);
+    nn::infer::GemvForward(x.data(), k, bare, bias.data(), bias_row.data(),
+                           chunk.data(), m, n);
+    nn::infer::GemvForward(x.data(), k, blocked, bias.data(), bias_row.data(),
+                           gemm.data(), m, n);
     EXPECT_EQ(
         std::memcmp(chunk.data(), gemm.data(), chunk.size() * sizeof(float)),
         0)
