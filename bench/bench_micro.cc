@@ -702,17 +702,12 @@ void BM_InferenceSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_InferenceSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// One-shot sweep of the quantized inference kernels and the transition memo
-// (fast path round two, docs/inference.md). Measures, single-threaded:
-//   - raw GEMV ns/op per packed precision (double / bf16 / int8);
-//   - the steady-state beam-prediction workload (8 hot queries replayed)
-//     per precision with memoization off and on, plus the memo hit rate;
-//   - accuracy parity of bf16/int8 against double on a briefly-trained
-//     model: teacher-forced top-1 next-segment agreement and the mean
-//     per-transition log-likelihood delta.
-// Exported as bench_out/BENCH_quant.json; tools/check_perf.sh gates the
-// memoized speedup (>= 2x on AVX2 hardware) and the accuracy floors.
-void BM_QuantSweep(benchmark::State& state) {
+// One-shot sweep of the transition memo (docs/inference.md). Measures,
+// single-threaded, the steady-state beam-prediction workload (8 hot queries
+// replayed) with memoization off and on, plus the memo's steady-state hit
+// rate. Exported as bench_out/BENCH_memo.json; tools/check_perf.sh gates
+// the hit rate and, on AVX2 hardware, the memoized speedup (>= 2x).
+void BM_MemoSweep(benchmark::State& state) {
   auto& world = MicroWorld();
   const int reps = eval::FastMode() ? 10 : 30;
   auto time_best = [reps](const std::function<void()>& fn) {
@@ -726,8 +721,8 @@ void BM_QuantSweep(benchmark::State& state) {
     return best;
   };
 
-  // Teacher: train briefly so the weights (and thus the accuracy-parity
-  // numbers) are meaningful rather than random-init noise.
+  // Train briefly so the beam follows a model's decisions rather than
+  // random-init noise.
   const core::DeepSTConfig base_cfg =
       baselines::DeepStCConfigOf(eval::DefaultModelConfig(world));
   std::vector<nn::NamedTensor> trained;
@@ -744,78 +739,31 @@ void BM_QuantSweep(benchmark::State& state) {
 
   struct Variant {
     const char* name;
-    nn::infer::Precision precision;
     bool memo;
   };
-  const Variant variants[] = {
-      {"double_nomemo", nn::infer::Precision::kDouble, false},
-      {"double_memo", nn::infer::Precision::kDouble, true},
-      {"bf16_nomemo", nn::infer::Precision::kBf16, false},
-      {"bf16_memo", nn::infer::Precision::kBf16, true},
-      {"int8_nomemo", nn::infer::Precision::kInt8, false},
-      {"int8_memo", nn::infer::Precision::kInt8, true},
-  };
+  const Variant variants[] = {{"double_nomemo", false}, {"double_memo", true}};
 
   // The hot-query beam workload: 8 test trips replayed to steady state, the
-  // serving pattern the memo targets. Accuracy uses longer teacher-forced
-  // test routes.
+  // serving pattern the memo targets.
   std::vector<core::RouteQuery> queries;
-  std::vector<const traj::TripRecord*> acc_trips;
   for (const auto* rec : world.split().test) {
     if (rec->trip.route.size() < 2) continue;
-    if (queries.size() < 8) queries.push_back(eval::QueryFor(rec->trip));
-    if (rec->trip.route.size() >= 6 && acc_trips.size() < 24) {
-      acc_trips.push_back(rec);
-    }
+    queries.push_back(eval::QueryFor(rec->trip));
+    if (queries.size() == 8) break;
   }
 
   struct Row {
     std::string variant;
     double seconds = 0.0;
-    double hit_rate = 0.0;        // steady-state memo hit rate (memo rows)
-    double top1_agreement = 1.0;  // vs the double baseline
-    double ce_delta = 0.0;        // mean |log-lik delta| per transition
+    double hit_rate = 0.0;  // steady-state memo hit rate (memo rows)
   };
   std::vector<Row> rows;
 
-  // Raw GEMV micro rows at representative step shapes (4 beam rows through
-  // [3H, H]): ns/op per packed precision, one warm kernel in isolation.
-  {
-    const int64_t m = 4, k = 64, n = 3 * 64;
-    util::Rng rng(11);
-    const nn::Tensor w = nn::Tensor::Uniform({n, k}, -1, 1, &rng);
-    const nn::Tensor b = nn::Tensor::Uniform({n}, -1, 1, &rng);
-    std::vector<double> x(static_cast<size_t>(m * k));
-    for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
-    std::vector<float> out(static_cast<size_t>(m * n));
-    const int gemv_reps = eval::FastMode() ? 2000 : 20000;
-    for (const Variant& v : variants) {
-      if (v.memo) continue;
-      const auto packed =
-          nn::infer::PackedMatrix::Pack(w.data(), n, k, k, v.precision);
-      util::Stopwatch watch;
-      for (int i = 0; i < gemv_reps; ++i) {
-        nn::infer::GemvForward(x.data(), k, packed, b.data(), nullptr,
-                               out.data(), m, n);
-        benchmark::DoNotOptimize(out.data());
-      }
-      Row row;
-      row.variant = std::string("gemv_") +
-                    nn::infer::PrecisionName(v.precision);
-      row.seconds = watch.ElapsedSeconds() / gemv_reps;
-      rows.push_back(row);
-    }
-  }
-
   const int prev = nn::GetBackendThreads();
   nn::SetBackendThreads(1);
-  std::vector<std::vector<int>> base_slots;  // double-precision teacher slots
-  std::vector<double> base_scores;
-  int64_t base_transitions = 0;
   for (auto _ : state) {
     for (const Variant& v : variants) {
       core::DeepSTConfig cfg = base_cfg;
-      cfg.infer_precision = v.precision;
       cfg.memo_cache_capacity = v.memo ? 16384 : 0;
       core::DeepSTModel model(world.net(), cfg, nullptr);
       DEEPST_CHECK(nn::ApplyNamedTensors(&model, trained).ok());
@@ -824,23 +772,20 @@ void BM_QuantSweep(benchmark::State& state) {
       for (const core::RouteQuery& q : queries) {
         ctxs.push_back(model.MakeContext(q, &crng));
       }
-      Row row;
-      row.variant = v.name;
-      row.seconds = time_best([&] {
+      auto replay = [&] {
         for (size_t q = 0; q < queries.size(); ++q) {
           util::Rng r(7);
           benchmark::DoNotOptimize(
               model.PredictRouteBeam(ctxs[q], queries[q].origin, &r));
         }
-      });
+      };
+      Row row;
+      row.variant = v.name;
+      row.seconds = time_best(replay);
       if (v.memo) {
         // Steady-state hit rate: one more replay round on the warm cache.
         const auto before = model.transition_memo_stats();
-        for (size_t q = 0; q < queries.size(); ++q) {
-          util::Rng r(7);
-          benchmark::DoNotOptimize(
-              model.PredictRouteBeam(ctxs[q], queries[q].origin, &r));
-        }
+        replay();
         const auto after = model.transition_memo_stats();
         const int64_t lookups = after.lookups - before.lookups;
         row.hit_rate = lookups > 0
@@ -848,98 +793,36 @@ void BM_QuantSweep(benchmark::State& state) {
                                  static_cast<double>(lookups)
                            : 0.0;
       }
-      // Accuracy parity vs the double baseline (kernel-only: memoization is
-      // bitwise, TopSlotsAlongRoute runs uncached).
-      if (v.precision == nn::infer::Precision::kDouble && !v.memo) {
-        base_slots.clear();
-        base_scores.clear();
-        base_transitions = 0;
-        for (const auto* rec : acc_trips) {
-          core::PredictionContext ctx =
-              model.MakeContext(eval::QueryFor(rec->trip), &crng);
-          base_slots.push_back(
-              model.TopSlotsAlongRoute(ctx, rec->trip.route));
-          base_scores.push_back(model.ScoreRoute(ctx, rec->trip.route));
-          base_transitions +=
-              static_cast<int64_t>(rec->trip.route.size()) - 1;
-        }
-      } else {
-        int64_t agree = 0, total = 0;
-        double score_delta = 0.0;
-        for (size_t t = 0; t < acc_trips.size(); ++t) {
-          const auto* rec = acc_trips[t];
-          core::PredictionContext ctx =
-              model.MakeContext(eval::QueryFor(rec->trip), &crng);
-          const std::vector<int> slots =
-              model.TopSlotsAlongRoute(ctx, rec->trip.route);
-          for (size_t i = 0; i < slots.size(); ++i) {
-            agree += slots[i] == base_slots[t][i] ? 1 : 0;
-          }
-          total += static_cast<int64_t>(slots.size());
-          score_delta += std::abs(model.ScoreRoute(ctx, rec->trip.route) -
-                                  base_scores[t]);
-        }
-        row.top1_agreement =
-            total > 0 ? static_cast<double>(agree) /
-                            static_cast<double>(total)
-                      : 1.0;
-        row.ce_delta = base_transitions > 0
-                           ? score_delta /
-                                 static_cast<double>(base_transitions)
-                           : 0.0;
-      }
       rows.push_back(row);
     }
   }
   nn::SetBackendThreads(prev);
 
-  auto seconds_of = [&rows](const std::string& variant) {
-    for (const Row& r : rows) {
-      if (r.variant == variant) return r.seconds;
-    }
-    return 0.0;
-  };
-  std::ofstream json(OutDir() + "/BENCH_quant.json");
+  const double nomemo_seconds = rows.front().seconds;
+  std::ofstream json(OutDir() + "/BENCH_memo.json");
   json << "[\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    const bool gemv = r.variant.rfind("gemv_", 0) == 0;
-    const double baseline =
-        gemv ? seconds_of("gemv_double") : seconds_of("double_nomemo");
-    json << "  {\"variant\": \"" << r.variant << "\", \"workload\": \""
-         << (gemv ? "gemv_m4_k64_n192" : "predict_beam_x8")
-         << "\", \"ns_per_op\": " << r.seconds * 1e9
-         << ", \"speedup_vs_double\": "
-         << (r.seconds > 0.0 ? baseline / r.seconds : 0.0)
-         << ", \"steady_hit_rate\": " << r.hit_rate
-         << ", \"top1_agreement\": " << r.top1_agreement
-         << ", \"ce_delta_per_transition\": " << r.ce_delta << "}"
+    const double speedup = r.seconds > 0.0 ? nomemo_seconds / r.seconds : 0.0;
+    json << "  {\"variant\": \"" << r.variant
+         << "\", \"workload\": \"predict_beam_x8\", \"ns_per_op\": "
+         << r.seconds * 1e9 << ", \"speedup_vs_nomemo\": " << speedup
+         << ", \"steady_hit_rate\": " << r.hit_rate << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
+    state.counters[r.variant + "_speedup"] = speedup;
   }
   json << "]\n";
-  for (const Row& r : rows) {
-    if (r.variant.rfind("gemv_", 0) == 0) continue;
-    state.counters[r.variant + "_speedup"] =
-        seconds_of("double_nomemo") / r.seconds;
-  }
 }
-BENCHMARK(BM_QuantSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MemoSweep)->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// One-shot sweep of the register-blocked GEMM path (fast path round three):
-//   - kernel micro rows: blocked (panel-packed) vs chunk GEMV at batched
-//     beam shapes, per precision, with a bitwise-equality cross-check (the
-//     blocking must only reorder work across output elements, never within
-//     one, so blocked == chunk bit for bit at every precision);
-//   - the memo-cold batched beam workload: 16 queries x beam 4 through
-//     PredictRoutesBeamMulti on a serve-size model (H = 128), with
-//     config.gemm_blocking off (the round-two baseline schedule) vs on,
-//     plus a bitwise route comparison.
-// Exported as bench_out/BENCH_gemm.json; tools/check_perf.sh gates the
-// bitwise fields everywhere and the >= 1.5x batched-beam double speedup on
-// AVX2 hardware.
+// One-shot sweep of the register-blocked GEMM path: blocked (panel-packed)
+// vs chunk GEMV at batched beam shapes, with a bitwise-equality cross-check
+// (the blocking must only reorder work across output elements, never
+// within one, so blocked == chunk bit for bit). Exported as
+// bench_out/BENCH_gemm.json; tools/check_perf.sh gates the bitwise fields
+// everywhere and, on AVX2 hardware, a >= 1.5x blocked speedup at the
+// served batched GRU-step shapes (m 28 and 32, k 32 and 64).
 void BM_GemmSweep(benchmark::State& state) {
-  auto& world = MicroWorld();
-
   struct Row {
     std::string variant;
     std::string workload;
@@ -950,129 +833,54 @@ void BM_GemmSweep(benchmark::State& state) {
   std::vector<Row> rows;
 
   // Kernel micro: a serve-size step shape ([3H, H] with H = 128) across
-  // batch sizes spanning partial tiles, one warm band sweep, and the
-  // reduced precisions at the batched beam shape; then the GRU-step shapes
-  // the served models run (H = 32 or 64, 3H = 192 gate rows, no K tail),
-  // whose full tiles reduce through the transposed lane-tree epilogue.
-  {
-    util::Rng rng(21);
-    const int reps = eval::FastMode() ? 500 : 5000;
-    struct Shape {
-      nn::infer::Precision precision;
-      int64_t m;
-      int64_t k = 128;
-      int64_t n = 3 * 128;
+  // batch sizes spanning partial tiles, one warm band sweep; then the
+  // GRU-step shapes the served models run (H = 32 or 64, 3H = 192 gate
+  // rows, no K tail), whose full tiles reduce through the transposed
+  // lane-tree epilogue.
+  util::Rng rng(21);
+  const int reps = eval::FastMode() ? 500 : 5000;
+  struct Shape {
+    int64_t m;
+    int64_t k = 128;
+    int64_t n = 3 * 128;
+  };
+  const Shape shapes[] = {
+      {4},           {16},          {33},
+      {4, 32, 192},  {28, 32, 192}, {32, 32, 192},
+      {4, 64, 192},  {28, 64, 192}, {32, 64, 192},
+  };
+  for (const Shape& s : shapes) {
+    const int64_t k = s.k, n = s.n;
+    const nn::Tensor w = nn::Tensor::Uniform({n, k}, -1, 1, &rng);
+    const nn::Tensor b = nn::Tensor::Uniform({n}, -1, 1, &rng);
+    std::vector<double> x(static_cast<size_t>(s.m * k));
+    for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
+    const auto chunk = nn::infer::PackedMatrix::Pack(w.data(), n, k, k);
+    auto blocked = nn::infer::PackedMatrix::Pack(w.data(), n, k, k);
+    blocked.BuildPanels();
+    std::vector<float> out_chunk(static_cast<size_t>(s.m * n));
+    std::vector<float> out_blocked(out_chunk.size());
+    auto time_gemv = [&](const nn::infer::PackedMatrix& p, float* out) {
+      nn::infer::GemvForward(x.data(), k, p, b.data(), nullptr, out, s.m,
+                             n);  // warmup
+      util::Stopwatch watch;
+      for (int i = 0; i < reps; ++i) {
+        nn::infer::GemvForward(x.data(), k, p, b.data(), nullptr, out,
+                               s.m, n);
+        benchmark::DoNotOptimize(out);
+      }
+      return watch.ElapsedSeconds() / reps;
     };
-    const Shape shapes[] = {
-        {nn::infer::Precision::kDouble, 4},
-        {nn::infer::Precision::kDouble, 16},
-        {nn::infer::Precision::kDouble, 33},
-        {nn::infer::Precision::kBf16, 16},
-        {nn::infer::Precision::kInt8, 16},
-        {nn::infer::Precision::kDouble, 4, 32, 192},
-        {nn::infer::Precision::kDouble, 28, 32, 192},
-        {nn::infer::Precision::kDouble, 32, 32, 192},
-        {nn::infer::Precision::kDouble, 4, 64, 192},
-        {nn::infer::Precision::kDouble, 28, 64, 192},
-        {nn::infer::Precision::kDouble, 32, 64, 192},
-    };
-    for (const Shape& s : shapes) {
-      const int64_t k = s.k, n = s.n;
-      const nn::Tensor w = nn::Tensor::Uniform({n, k}, -1, 1, &rng);
-      const nn::Tensor b = nn::Tensor::Uniform({n}, -1, 1, &rng);
-      std::vector<double> x(static_cast<size_t>(s.m * k));
-      for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
-      const auto chunk =
-          nn::infer::PackedMatrix::Pack(w.data(), n, k, k, s.precision);
-      auto blocked =
-          nn::infer::PackedMatrix::Pack(w.data(), n, k, k, s.precision);
-      blocked.BuildPanels();
-      std::vector<float> out_chunk(static_cast<size_t>(s.m * n));
-      std::vector<float> out_blocked(out_chunk.size());
-      auto time_gemv = [&](const nn::infer::PackedMatrix& p, float* out) {
-        nn::infer::GemvForward(x.data(), k, p, b.data(), nullptr, out, s.m,
-                               n);  // warmup
-        util::Stopwatch watch;
-        for (int i = 0; i < reps; ++i) {
-          nn::infer::GemvForward(x.data(), k, p, b.data(), nullptr, out,
-                                 s.m, n);
-          benchmark::DoNotOptimize(out);
-        }
-        return watch.ElapsedSeconds() / reps;
-      };
-      Row row;
-      row.variant = std::string("gemm_") +
-                    nn::infer::PrecisionName(s.precision) + "_m" +
-                    std::to_string(s.m) +
-                    (k == 128 ? "" : "_k" + std::to_string(k));
-      row.workload =
-          "gemv_k" + std::to_string(k) + "_n" + std::to_string(n);
-      row.baseline_seconds = time_gemv(chunk, out_chunk.data());
-      row.seconds = time_gemv(blocked, out_blocked.data());
-      row.bitwise_equal =
-          std::memcmp(out_chunk.data(), out_blocked.data(),
-                      out_chunk.size() * sizeof(float)) == 0;
-      rows.push_back(row);
-    }
-  }
-
-  // Memo-cold batched beam: the workload the blocking targets. Same seed ->
-  // identical weights across variants, MAP beam -> no rng draws, so the
-  // blocked run must reproduce the baseline routes bitwise.
-  {
-    const int reps = eval::FastMode() ? 3 : 8;
-    core::DeepSTConfig cfg =
-        baselines::DeepStCConfigOf(eval::DefaultModelConfig(world));
-    cfg.gru_hidden = 256;  // the paper's full hidden size: GEMV dominates
-    cfg.max_route_steps = 24;
-    cfg.memo_cache_capacity = 0;  // memo-cold: every step hits the kernels
-    std::vector<core::RouteQuery> queries;
-    for (const auto* rec : world.split().test) {
-      if (rec->trip.route.size() < 2) continue;
-      queries.push_back(eval::QueryFor(rec->trip));
-      if (queries.size() == 16) break;
-    }
-    const int prev = nn::GetBackendThreads();
-    nn::SetBackendThreads(1);
-    std::vector<traj::Route> baseline_routes;
     Row row;
-    row.variant = "beam_multi_double";
-    row.workload = "beam16x4_h256_memo_cold";
-    for (const bool blocking : {false, true}) {
-      cfg.gemm_blocking = blocking;
-      core::DeepSTModel model(world.net(), cfg, nullptr);
-      util::Rng crng(5);
-      std::vector<core::PredictionContext> ctxs;
-      for (const core::RouteQuery& q : queries) {
-        ctxs.push_back(model.MakeContext(q, &crng));
-      }
-      std::vector<core::PredictItem> items(queries.size());
-      auto run = [&] {
-        for (size_t i = 0; i < items.size(); ++i) {
-          items[i] = core::PredictItem{};
-          items[i].ctx = &ctxs[i];
-          items[i].origin = queries[i].origin;
-        }
-        model.PredictRoutesBeamMulti(&items);
-      };
-      run();  // warmup (scratch growth)
-      double best = std::numeric_limits<double>::infinity();
-      for (int round = 0; round < 3; ++round) {
-        util::Stopwatch watch;
-        for (int i = 0; i < reps; ++i) run();
-        best = std::min(best, watch.ElapsedSeconds() / reps);
-      }
-      if (!blocking) {
-        row.baseline_seconds = best;
-        for (const auto& item : items) baseline_routes.push_back(item.route);
-      } else {
-        row.seconds = best;
-        for (size_t i = 0; i < items.size(); ++i) {
-          if (items[i].route != baseline_routes[i]) row.bitwise_equal = false;
-        }
-      }
-    }
-    nn::SetBackendThreads(prev);
+    row.variant = "gemm_double_m" + std::to_string(s.m) +
+                  (k == 128 ? "" : "_k" + std::to_string(k));
+    row.workload =
+        "gemv_k" + std::to_string(k) + "_n" + std::to_string(n);
+    row.baseline_seconds = time_gemv(chunk, out_chunk.data());
+    row.seconds = time_gemv(blocked, out_blocked.data());
+    row.bitwise_equal =
+        std::memcmp(out_chunk.data(), out_blocked.data(),
+                    out_chunk.size() * sizeof(float)) == 0;
     rows.push_back(row);
   }
 

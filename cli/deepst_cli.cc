@@ -77,12 +77,9 @@
 // Every command accepts `--threads N` (default 1): compute threads for the
 // nn backend. Results are identical for every N; see docs/parallelism.md.
 //
-// Every model-loading command also accepts `--precision double|bf16|int8`
-// (packed weight precision of the inference fast path; default double is
-// bitwise the reference, bf16/int8 are accuracy-parity-gated, see
-// docs/inference.md) and `--memo-capacity N` (transition-memo cache entries
-// shared across the session pool, default 16384, 0 disables; hits are
-// bitwise identical to recomputing).
+// Every model-loading command also accepts `--memo-capacity N`
+// (transition-memo cache entries shared across the session pool, default
+// 16384, 0 disables; hits are bitwise identical to recomputing).
 //
 // Fault injection (tools/check_fault.sh, docs/robustness.md): `--faults
 // SPEC` or the DEEPST_FAULTS environment variable arms deterministic fault
@@ -220,11 +217,6 @@ util::StatusOr<core::DeepSTConfig> ModelConfigFromFlags(
   if (!proxies.ok()) return proxies.status();
   base.num_proxies = static_cast<int>(proxies.value());
 
-  const std::string precision = flags.GetString("precision", "double");
-  if (!nn::infer::ParsePrecision(precision, &base.infer_precision)) {
-    return util::Status::InvalidArgument(
-        "--precision must be double, bf16 or int8, got '" + precision + "'");
-  }
   auto memo = flags.GetInt("memo-capacity", base.memo_cache_capacity);
   if (!memo.ok()) return memo.status();
   if (memo.value() < 0) {
@@ -844,9 +836,8 @@ int CmdServe(const util::Flags& flags) {
     const auto memo_stats = model.value()->transition_memo_stats();
     std::fprintf(
         stderr,
-        "inference: precision=%s (packed weights %.2f MiB, GEMM panels "
-        "%.2f MiB), transition memo capacity %lld entries\n",
-        nn::infer::PrecisionName(packed->precision),
+        "inference: packed weights %.2f MiB, GEMM panels %.2f MiB, "
+        "transition memo capacity %lld entries\n",
         static_cast<double>(packed->packed_weight_bytes) / (1024.0 * 1024.0),
         static_cast<double>(packed->packed_panel_bytes) / (1024.0 * 1024.0),
         static_cast<long long>(memo_stats.capacity));

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "nn/infer/precision.h"
-
 namespace deepst {
 namespace core {
 
@@ -80,18 +78,6 @@ struct DeepSTConfig {
   // Use posterior means / modes for latents at prediction (deterministic);
   // when false, sample as in Algorithm 2.
   bool map_prediction = true;
-  // Packed weight precision of the fast path's GEMV kernels (CLI
-  // --precision double|bf16|int8). double is bitwise the PR 3 baseline;
-  // bf16/int8 trade exactness for bandwidth and are accuracy-parity-gated
-  // (docs/inference.md). The autodiff *Reference predictors ignore it.
-  nn::infer::Precision infer_precision = nn::infer::Precision::kDouble;
-  // Build K-major panel sidecars into the shared packed weights so batched
-  // (beam / multi-query) GEMVs run through the register-blocked GEMM
-  // micro-kernels (docs/inference.md "GEMM blocking"). Blocked results are
-  // bitwise identical to the per-element kernels at every precision, so
-  // this only changes speed; off reproduces the PR 8 kernel schedule
-  // exactly (the bench A/B baseline).
-  bool gemm_blocking = true;
   // Entry budget of the transition-distribution memo cache shared across
   // the session pool (CLI --memo-capacity); 0 disables memoization. Hits
   // are bitwise identical to recomputing, so this only changes speed.

@@ -974,16 +974,6 @@ double DeepSTModel::ScoreRoute(const PredictionContext& ctx,
   return session->ScoreRoute(ctx, route);
 }
 
-std::vector<int> DeepSTModel::TopSlotsAlongRoute(const PredictionContext& ctx,
-                                                 const traj::Route& route) {
-  // Harness entry point: measures the graph-free engine's raw kernels (the
-  // thing whose precision is being evaluated), so no fault point here.
-  SessionLease session(this);
-  std::vector<int> slots;
-  session->TopSlotsAlongRoute(ctx, route, &slots);
-  return slots;
-}
-
 std::vector<double> DeepSTModel::ScoreRoutes(
     const PredictionContext& ctx, const std::vector<traj::Route>& routes) {
   SessionLease session(this);

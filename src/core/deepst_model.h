@@ -246,11 +246,11 @@ class DeepSTModel : public nn::Module {
   const nn::StackedGru& gru() const { return *gru_; }
   const nn::LinearLayer& alpha_layer() const { return *alpha_; }
 
-  // Weights packed once (at config.infer_precision) and shared read-only by
-  // every pooled session; built lazily on the first session construction,
-  // rebuilt after RetirePooledSessions. When config.gemm_blocking is set the
-  // build also packs the K-major GEMM panel sidecars (forward.h), so batched
-  // beam/scoring steps run the register-blocked kernels. Never null.
+  // Weights packed once and shared read-only by every pooled session; built
+  // lazily on the first session construction, rebuilt after
+  // RetirePooledSessions. The build also packs the K-major GEMM panel
+  // sidecars (forward.h), so batched beam/scoring steps run the
+  // register-blocked kernel. Never null.
   std::shared_ptr<const infer::SharedInferWeights> shared_infer_weights()
       const;
 
@@ -273,13 +273,6 @@ class DeepSTModel : public nn::Module {
   // RetirePooledSessions also invalidates (its contract is "scratch state
   // may be stale"), covering the serve watchdog path.
   void InvalidateTransitionCache();
-
-  // Teacher-forced top-1 next-segment slots along `route`: feeds
-  // route[0..t] and records argmax over the valid neighbor slots at each of
-  // the route.size()-1 transitions. The quantization accuracy-parity
-  // harness compares these across precisions (bench_micro, quant_test).
-  std::vector<int> TopSlotsAlongRoute(const PredictionContext& ctx,
-                                      const traj::Route& route);
 
   // Number of pooled inference sessions currently alive (test/debug hook;
   // grows up to the peak number of concurrent prediction calls).

@@ -34,23 +34,18 @@ double InferenceSession::Hyp::Score() const {
 std::shared_ptr<const SharedInferWeights> SharedInferWeights::Build(
     const DeepSTModel& model) {
   auto w = std::make_shared<SharedInferWeights>();
-  w->precision = model.config().infer_precision;
   const int64_t emb_dim = model.segment_embedding().dim();
-  w->gru = nn::infer::GruStackView::Of(model.gru(), emb_dim, w->precision);
+  w->gru = nn::infer::GruStackView::Of(model.gru(), emb_dim);
   const nn::Tensor& aw = model.alpha_layer().weight();
   w->alpha_w = nn::infer::PackedMatrix::Pack(aw.data(), aw.dim(0), aw.dim(1),
-                                             aw.dim(1), w->precision);
+                                             aw.dim(1));
   // K-major panel sidecars for the blocked GEMM path: batched (beam /
-  // multi-query) GEMVs route through the register-blocked micro-kernels
-  // whenever panels are present. Built once here, shared like the rest of
-  // the packed weights; gemm_blocking=false reproduces the per-element
-  // kernel schedule exactly (the A/B baseline in bench_micro).
-  if (model.config().gemm_blocking) {
-    w->alpha_w.BuildPanels();
-    for (nn::infer::GruCellView& cell : w->gru.cells) {
-      cell.w_ih.BuildPanels();
-      cell.w_hh.BuildPanels();
-    }
+  // multi-query) GEMVs route through the register-blocked micro-kernel.
+  // Built once here, shared like the rest of the packed weights.
+  w->alpha_w.BuildPanels();
+  for (nn::infer::GruCellView& cell : w->gru.cells) {
+    cell.w_ih.BuildPanels();
+    cell.w_hh.BuildPanels();
   }
   if (const DestinationProxyModel* proxy = model.proxy_model()) {
     w->proxy_encoder = nn::infer::MlpView::Of(proxy->encoder());
@@ -172,9 +167,7 @@ void InferenceSession::PrepareContexts(
     }
     // Layer-0 split input: fold the context's input-to-hidden product and
     // b_ih into one per-query bias row; steps then only multiply the
-    // embedding columns of w_ih. The context columns are exact doubles in
-    // every precision mode (w_ih_ctx), so this fold never carries
-    // quantization error into all downstream steps.
+    // embedding columns of w_ih.
     nn::infer::LinearForward(ctxd_.data(), ctx_dim, cell0.w_ih_ctx.data(),
                              ctx_dim, cell0.b_ih->data(), nullptr,
                              ctx_ih->data() + q * h3, 1, ctx_dim, h3);
@@ -718,7 +711,10 @@ void InferenceSession::ScorePaddedBatch(
     size_t first_scored, std::vector<double>* out) {
   const int64_t batch = static_cast<int64_t>(rows.size());
   size_t max_len = 0;
-  for (const traj::Route* r : rows) max_len = std::max(max_len, r->size());
+  for (const traj::Route* r : rows) {
+    DEEPST_DCHECK(r->size() >= 2);
+    max_len = std::max(max_len, r->size());
+  }
   tokens_.resize(static_cast<size_t>(batch));
   for (size_t t = first_scored; t + 1 < max_len; ++t) {
     for (int64_t b = 0; b < batch; ++b) {
@@ -783,6 +779,10 @@ std::vector<double> InferenceSession::ScoreContinuations(
       result[i] = kNegInf;
       continue;
     }
+    // A one-segment prefix continued by {prefix.back()} has no transition:
+    // score 0 like ScoreRoutes' short routes, and keep it out of the padded
+    // batch, whose finished rows re-feed their second-to-last segment.
+    if (full.size() < 2) continue;
     rows_.push_back(&full);
     row_index_.push_back(static_cast<int>(i));
   }
@@ -818,30 +818,6 @@ std::vector<double> InferenceSession::ScoreContinuations(
     result[static_cast<size_t>(row_index_[b])] = batch_out_[b];
   }
   return result;
-}
-
-void InferenceSession::TopSlotsAlongRoute(const PredictionContext& ctx,
-                                          const traj::Route& route,
-                                          std::vector<int>* slots) {
-  slots->clear();
-  if (route.size() < 2) return;
-  ctx_ptrs_.assign(1, &ctx);
-  PrepareContexts(ctx_ptrs_);
-  ResetState(1);
-  // Teacher-forced and deliberately uncached: the accuracy-parity harness
-  // compares the raw kernels of each packed precision, so memo hits (which
-  // replay whatever precision first filled the cache) must not leak in.
-  for (size_t t = 0; t + 1 < route.size(); ++t) {
-    const int token = static_cast<int>(route[t]);
-    StepBatch(&token, nullptr, 1, /*want_logits=*/true);
-    const float* lv = arena_.Get(kLogits)->data();
-    const int deg = net_.OutDegree(route[t]);
-    int best = 0;
-    for (int s = 1; s < deg; ++s) {
-      if (lv[s] > lv[best]) best = s;
-    }
-    slots->push_back(best);
-  }
 }
 
 }  // namespace infer

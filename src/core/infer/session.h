@@ -16,28 +16,27 @@ namespace infer {
 
 // Model weights packed once for the GEMV fast path and shared read-only by
 // every pooled session (packing happens at most once per model generation,
-// not per session — "pack at pool construction"). Built at the model's
-// config.infer_precision. The embedding table is not packed: it is gathered,
-// not multiplied, so each step widens the rows it needs straight from the
-// model's float table (exactly, in every precision mode) instead of keeping
-// an O(num_segments) double copy. That table and the biases are read
-// through tensor pointers into the model, which must outlive the view.
+// not per session — "pack at pool construction"). The GEMV weights are
+// exact doubles with K-major panels (nn::infer::PackedMatrix). The
+// embedding table is not packed: it is gathered, not multiplied, so each
+// step widens the rows it needs straight from the model's float table
+// (exactly) instead of keeping an O(num_segments) double copy. That table
+// and the biases are read through tensor pointers into the model, which
+// must outlive the view.
 //
-// The proxy encoder q(pi|x) is packed too, output-major and in exact float
-// whatever the precision: MakeContext computes the proxy logits from it
-// (nn::infer::MlpView), bitwise the autodiff encoder's.
+// The proxy encoder q(pi|x) is packed too, output-major in exact float:
+// MakeContext computes the proxy logits from it (nn::infer::MlpView),
+// bitwise the autodiff encoder's.
 struct SharedInferWeights {
-  nn::infer::Precision precision = nn::infer::Precision::kDouble;
   nn::infer::GruStackView gru;
   nn::infer::PackedMatrix alpha_w;   // [N_max, H]
   nn::infer::MlpView proxy_encoder;  // 2 -> hidden -> K; empty w/o proxies
-  // Packed operand bytes: the GEMV weights at this precision plus the
-  // proxy encoder pack.
+  // Packed operand bytes: the GEMV weights plus the proxy encoder pack.
   size_t packed_weight_bytes = 0;
-  // Bytes of the K-major panel sidecars built for the blocked GEMM path
-  // (config.gemm_blocking; 0 when off). Panels duplicate the full blocks of
-  // each matrix in streaming order, so this is close to a second copy of
-  // packed_weight_bytes — reported separately for footprint accounting.
+  // Bytes of the K-major panel sidecars of the blocked GEMM path. Panels
+  // duplicate the full blocks of each matrix in streaming order, so this is
+  // close to a second copy of the GEMV weights — reported separately for
+  // footprint accounting.
   size_t packed_panel_bytes = 0;
 
   static std::shared_ptr<const SharedInferWeights> Build(
@@ -126,13 +125,6 @@ class InferenceSession {
   // identical per item to ScoreRoutes(*item.ctx, *item.routes).
   void ScoreRoutesMulti(std::vector<ScoreItem>* items);
 
-  // Teacher-forced top-1 slots: feeds route[0..t] and appends the argmax
-  // valid next-segment slot at each of the route.size()-1 transitions. The
-  // precision accuracy-parity harness compares these across packed weight
-  // precisions; runs uncached so each precision is measured on raw kernels.
-  void TopSlotsAlongRoute(const PredictionContext& ctx,
-                          const traj::Route& route, std::vector<int>* slots);
-
   // Number of scratch-storage growths so far; constant across calls once
   // the session is warm (the zero-allocation steady state).
   int64_t arena_grow_count() const { return arena_.grow_count(); }
@@ -208,7 +200,9 @@ class InferenceSession {
   void CopyHyp(const Hyp& src, Hyp* dst);
   // Scores one padded batch of routes, row b under row_ctx[b]'s context
   // (StepBatch's convention). Transitions before `first_scored` were already
-  // stepped (ScoreContinuations' shared prefix) and are not scored.
+  // stepped (ScoreContinuations' shared prefix) and are not scored. Every
+  // row holds at least two segments: a finished row re-feeds its
+  // second-to-last one.
   void ScorePaddedBatch(const std::vector<const traj::Route*>& rows,
                         const int* row_ctx, size_t first_scored,
                         std::vector<double>* out);

@@ -1,7 +1,6 @@
 #include "nn/infer/forward.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "nn/backend.h"
@@ -20,30 +19,6 @@ namespace {
 typedef double Vec8 __attribute__((vector_size(64)));
 typedef int64_t VecI8 __attribute__((vector_size(64)));  // Vec8 shuffle masks
 typedef float VecF8x32 __attribute__((vector_size(32)));
-// 16-lane float types for the reduced-precision kernels: same 64-byte
-// register budget as Vec8, twice the elements per op.
-typedef float VecF16 __attribute__((vector_size(64)));
-typedef uint16_t VecH16 __attribute__((vector_size(32)));
-typedef uint32_t VecU16 __attribute__((vector_size(64)));
-typedef int8_t VecQ16 __attribute__((vector_size(16)));
-typedef int16_t VecW16 __attribute__((vector_size(32)));
-typedef int32_t VecI16 __attribute__((vector_size(64)));
-
-// bfloat16 <-> float: the top 16 bits of the float pattern, packed with
-// round-to-nearest-even and decoded by a plain 16-bit shift (exact).
-DEEPST_FORCE_INLINE uint16_t PackBf16(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  u += 0x7fffu + ((u >> 16) & 1u);
-  return static_cast<uint16_t>(u >> 16);
-}
-
-DEEPST_FORCE_INLINE float UnpackBf16(uint16_t h) {
-  const uint32_t u = static_cast<uint32_t>(h) << 16;
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
 
 // The fixed pairwise combine of one 8-lane double accumulator.
 DEEPST_FORCE_INLINE double LaneSum(const Vec8& acc) {
@@ -107,154 +82,10 @@ void LinearChunk(const double* x, int64_t ldx, const double* w, int64_t ldw,
   }
 }
 
-// The reduced-precision kernels accumulate in float, not double: the
-// operands carry at most bf16 (8-bit mantissa) or int8 information, so a
-// 24-bit float accumulator over a source-fixed 16-lane order keeps the
-// rounding noise orders of magnitude below the quantization error itself
-// (the accuracy-parity gate in tools/check_perf.sh bounds the end-to-end
-// effect). 16 float lanes fill the same 64-byte registers as the double
-// kernel's 8 double lanes with twice the elements per op, which is what
-// pays for the weight decode and lets the packed kernels keep up with (or
-// beat) the double kernel while touching 4-8x less weight memory.
-//
-// Each chunk converts the activation row double -> float once (exact
-// rounding) into a stack buffer and reuses it across that row's outputs.
-// Rows are capped at kMaxFloatK columns (checked; every model here is far
-// under). Both passes are row-local with a source-fixed order, so batch
-// composition and chunk boundaries stay invisible.
-inline constexpr int64_t kMaxFloatK = 1024;
-
-DEEPST_FORCE_INLINE float LaneSumF(const VecF8x32& acc) {
-  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-}
-
-DEEPST_FORCE_INLINE float LaneSumF16(const VecF16& a) {
-  return (((a[0] + a[1]) + (a[2] + a[3])) +
-          ((a[4] + a[5]) + (a[6] + a[7]))) +
-         (((a[8] + a[9]) + (a[10] + a[11])) +
-          ((a[12] + a[13]) + (a[14] + a[15])));
-}
-
-// dst[i] = float(src[i]); returns the fixed 8-lane float sum of dst (the
-// int8 kernel's zero-point term, free in the conversion pass).
-DEEPST_FORCE_INLINE float ToFloatRowSum(const double* src, float* dst, int64_t k) {
-  VecF8x32 xs = {0, 0, 0, 0, 0, 0, 0, 0};
-  int64_t kk = 0;
-  for (; kk + 8 <= k; kk += 8) {
-    Vec8 xv;
-    std::memcpy(&xv, src + kk, sizeof(xv));
-    const VecF8x32 fv = __builtin_convertvector(xv, VecF8x32);
-    std::memcpy(dst + kk, &fv, sizeof(fv));
-    xs += fv;
-  }
-  float tail = 0.0f;
-  for (; kk < k; ++kk) {
-    dst[kk] = static_cast<float>(src[kk]);
-    tail += dst[kk];
-  }
-  return LaneSumF(xs) + tail;
-}
-
-// bf16 dot: weights widen to float lanes in-register (u16 -> u32<<16,
-// bit-cast); fixed 16-lane float accumulation.
-DEEPST_FORCE_INLINE float DotBiasBf16(const float* xrow, const uint16_t* wrow, int64_t k,
-                         const float* bias, int64_t j) {
-  VecF16 acc = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-  int64_t kk = 0;
-  for (; kk + 16 <= k; kk += 16) {
-    VecF16 xv;
-    VecH16 hv;
-    std::memcpy(&xv, xrow + kk, sizeof(xv));
-    std::memcpy(&hv, wrow + kk, sizeof(hv));
-    const VecU16 bits = __builtin_convertvector(hv, VecU16) << 16;
-    VecF16 fv;
-    std::memcpy(&fv, &bits, sizeof(fv));
-    acc += xv * fv;
-  }
-  float tail = 0.0f;
-  for (; kk < k; ++kk) tail += xrow[kk] * UnpackBf16(wrow[kk]);
-  float v = LaneSumF16(acc) + tail;
-  if (bias != nullptr) v += bias[j];
-  return v;
-}
-
-// int8 dot: the affine dequant s*(q - z) factors out of the accumulation,
-//   dot = s * (sum_k x_k q_k  -  z * sum_k x_k),
-// so the inner loop runs on raw int8 lanes (widened to float) with no
-// per-tap dequant; `xsum` (the activation sum, independent of the output
-// row) is computed once per activation row by the caller. The combine runs
-// in double because z*xsum can be ~2^7 times the dot itself.
-DEEPST_FORCE_INLINE float DotBiasI8(const float* xrow, float xsum, const int8_t* qrow,
-                       int64_t k, float scale, int32_t zero, const float* bias,
-                       int64_t j) {
-  VecF16 acc = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-  int64_t kk = 0;
-  for (; kk + 16 <= k; kk += 16) {
-    VecF16 xv;
-    VecQ16 qv;
-    std::memcpy(&xv, xrow + kk, sizeof(xv));
-    std::memcpy(&qv, qrow + kk, sizeof(qv));
-    // Stepwise widen (i8 -> i16 -> i32 -> f32): each hop maps to one
-    // sign-extend / convert instruction; a direct i8 -> i32 conversion
-    // gets scalarized byte-by-byte by GCC.
-    const VecW16 wv = __builtin_convertvector(qv, VecW16);
-    acc += xv * __builtin_convertvector(__builtin_convertvector(wv, VecI16),
-                                        VecF16);
-  }
-  float tacc = 0.0f;
-  for (; kk < k; ++kk) tacc += xrow[kk] * static_cast<float>(qrow[kk]);
-  const double qsum = static_cast<double>(LaneSumF16(acc) + tacc);
-  const double sum = static_cast<double>(scale) *
-                     (qsum - static_cast<double>(zero) *
-                                 static_cast<double>(xsum));
-  float v = static_cast<float>(sum);
-  if (bias != nullptr) v += bias[j];
-  return v;
-}
-
-// Packed-precision counterparts of LinearChunk: same flat [begin, end)
-// partition and row-by-row walk, different weight decode. Cloned per ISA
-// like the double kernels.
-DEEPST_INFER_CLONES
-void GemvChunkBf16(const double* x, int64_t ldx, const uint16_t* w,
-                   const float* bias, const int* bias_row, float* out,
-                   int64_t k, int64_t n, int64_t begin, int64_t end) {
-  DEEPST_CHECK(k <= kMaxFloatK);
-  float xf[kMaxFloatK];
-  int64_t i = begin / n;
-  int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++i, j = 0) {
-    ToFloatRowSum(x + i * ldx, xf, k);
-    const float* b = BiasBase(bias, bias_row, i, n);
-    for (; j < n && e < end; ++j, ++e) {
-      out[e] = DotBiasBf16(xf, w + j * k, k, b, j);
-    }
-  }
-}
-
-DEEPST_INFER_CLONES
-void GemvChunkI8(const double* x, int64_t ldx, const int8_t* w,
-                 const float* scale, const int32_t* zero, const float* bias,
-                 const int* bias_row, float* out, int64_t k, int64_t n,
-                 int64_t begin, int64_t end) {
-  DEEPST_CHECK(k <= kMaxFloatK);
-  float xf[kMaxFloatK];
-  int64_t i = begin / n;
-  int64_t j = begin % n;
-  for (int64_t e = begin; e < end; ++i, j = 0) {
-    const float xsum = ToFloatRowSum(x + i * ldx, xf, k);
-    const float* b = BiasBase(bias, bias_row, i, n);
-    for (; j < n && e < end; ++j, ++e) {
-      out[e] = DotBiasI8(xf, xsum, w + j * k, k, scale[j], zero[j], b, j);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Register-blocked GEMM micro-kernels (the batched fast path).
 //
-// The chunk kernels above compute one output element per DotBias* call, so a
+// The chunk kernel above computes one output element per DotBias call, so a
 // weight row is re-streamed from memory once per activation row — at serve
 // batches of 16-64 beam lanes the step is bandwidth-bound. The kernels below
 // tile the output into kGemmMr x kGemmNr micro-tiles: each K-panel of
@@ -267,13 +98,11 @@ void GemvChunkI8(const double* x, int64_t ldx, const int8_t* w,
 // the same `acc += xv * wv` expression (so FP contraction fuses
 // identically), the same pairwise lane reduction (the double tile runs it
 // for all eight accumulators at once, LaneSums8), the same scalar K tail
-// from the row-major arrays, the same cast and bias add — so the blocked
-// path is bitwise identical to the chunk path for all three precisions.
-// Partial bands (m % kGemmMr), row tails (n % kGemmNr) and K tails run
+// from the row-major array, the same cast and bias add — so the blocked
+// path is bitwise identical to the chunk path. Partial bands (m % kGemmMr), row tails (n % kGemmNr) and K tails run
 // through the retained per-element helpers.
 
 constexpr Vec8 kZero8 = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-constexpr VecF16 kZeroF16 = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
 
 // Adjacent-lane pair sums of two accumulators side by side: lanes 0-3 of
 // *out hold a's pairs (a[0]+a[1], a[2]+a[3], a[4]+a[5], a[6]+a[7]), lanes
@@ -303,34 +132,6 @@ DEEPST_FORCE_INLINE void LaneSums8(const Vec8& a0, const Vec8& a1,
   PairSums(p01, p23, &q0);
   PairSums(p45, p67, &q1);
   PairSums(q0, q1, sums);
-}
-
-// DotBiasBf16's epilogue for one accumulator.
-DEEPST_FORCE_INLINE float FinishBf16(const VecF16& acc, const float* xrow,
-                        const uint16_t* wrow, int64_t k, int64_t k0,
-                        const float* bias, int64_t j) {
-  float tail = 0.0f;
-  for (int64_t kk = k0; kk < k; ++kk) tail += xrow[kk] * UnpackBf16(wrow[kk]);
-  float v = LaneSumF16(acc) + tail;
-  if (bias != nullptr) v += bias[j];
-  return v;
-}
-
-// DotBiasI8's epilogue for one accumulator (double combine, see DotBiasI8).
-DEEPST_FORCE_INLINE float FinishI8(const VecF16& acc, const float* xrow, float xsum,
-                      const int8_t* qrow, int64_t k, int64_t k0, float scale,
-                      int32_t zero, const float* bias, int64_t j) {
-  float tacc = 0.0f;
-  for (int64_t kk = k0; kk < k; ++kk) {
-    tacc += xrow[kk] * static_cast<float>(qrow[kk]);
-  }
-  const double qsum = static_cast<double>(LaneSumF16(acc) + tacc);
-  const double sum = static_cast<double>(scale) *
-                     (qsum - static_cast<double>(zero) *
-                                 static_cast<double>(xsum));
-  float v = static_cast<float>(sum);
-  if (bias != nullptr) v += bias[j];
-  return v;
 }
 
 // Blocked double GEMM over bands [band_begin, band_end); a band is kGemmMr
@@ -411,218 +212,6 @@ void GemmBandsD(const double* x, int64_t ldx, const double* w,
   }
 }
 
-// Blocked bf16 GEMM: the band's activation rows convert double -> float
-// once (same exact conversion the chunk path does per chunk), then each
-// K-panel decodes to float lanes once for kGemmMr activation rows.
-DEEPST_INFER_CLONES
-void GemmBandsBf16(const double* x, int64_t ldx, const uint16_t* w,
-                   const uint16_t* panels, const float* bias,
-                   const int* bias_row, float* out, int64_t m, int64_t k,
-                   int64_t n, int64_t band_begin, int64_t band_end) {
-  DEEPST_CHECK(k <= kMaxFloatK);
-  const int64_t kb = k / 16;
-  const int64_t np = n / kGemmNr;
-  const int64_t pstride = kb * kGemmNr * 16;
-  float xf[kGemmMr][kMaxFloatK];
-  for (int64_t band = band_begin; band < band_end; ++band) {
-    const int64_t i0 = band * kGemmMr;
-    const int64_t mr = std::min<int64_t>(kGemmMr, m - i0);
-    const float* b0[kGemmMr] = {};
-    for (int64_t r = 0; r < mr; ++r) {
-      ToFloatRowSum(x + (i0 + r) * ldx, xf[r], k);
-      b0[r] = BiasBase(bias, bias_row, i0 + r, n);
-    }
-    if (mr == kGemmMr) {
-      for (int64_t p = 0; p < np; ++p) {
-        const int64_t j0 = p * kGemmNr;
-        const uint16_t* pp = panels + p * pstride;
-        VecF16 a00 = kZeroF16, a01 = kZeroF16, a10 = kZeroF16,
-               a11 = kZeroF16;
-        VecF16 a20 = kZeroF16, a21 = kZeroF16, a30 = kZeroF16,
-               a31 = kZeroF16;
-        int64_t kk = 0;
-        for (; kk + 16 <= k; kk += 16, pp += 32) {
-          VecH16 hv;
-          VecF16 fv0, fv1, xv;
-          std::memcpy(&hv, pp, sizeof(hv));
-          const VecU16 bits0 = __builtin_convertvector(hv, VecU16) << 16;
-          std::memcpy(&fv0, &bits0, sizeof(fv0));
-          std::memcpy(&hv, pp + 16, sizeof(hv));
-          const VecU16 bits1 = __builtin_convertvector(hv, VecU16) << 16;
-          std::memcpy(&fv1, &bits1, sizeof(fv1));
-          std::memcpy(&xv, xf[0] + kk, sizeof(xv));
-          a00 += xv * fv0;
-          a01 += xv * fv1;
-          std::memcpy(&xv, xf[1] + kk, sizeof(xv));
-          a10 += xv * fv0;
-          a11 += xv * fv1;
-          std::memcpy(&xv, xf[2] + kk, sizeof(xv));
-          a20 += xv * fv0;
-          a21 += xv * fv1;
-          std::memcpy(&xv, xf[3] + kk, sizeof(xv));
-          a30 += xv * fv0;
-          a31 += xv * fv1;
-        }
-        const uint16_t* w0r = w + j0 * k;
-        const uint16_t* w1r = w0r + k;
-        float* o0 = out + (i0 + 0) * n + j0;
-        float* o1 = out + (i0 + 1) * n + j0;
-        float* o2 = out + (i0 + 2) * n + j0;
-        float* o3 = out + (i0 + 3) * n + j0;
-        o0[0] = FinishBf16(a00, xf[0], w0r, k, kk, b0[0], j0);
-        o0[1] = FinishBf16(a01, xf[0], w1r, k, kk, b0[0], j0 + 1);
-        o1[0] = FinishBf16(a10, xf[1], w0r, k, kk, b0[1], j0);
-        o1[1] = FinishBf16(a11, xf[1], w1r, k, kk, b0[1], j0 + 1);
-        o2[0] = FinishBf16(a20, xf[2], w0r, k, kk, b0[2], j0);
-        o2[1] = FinishBf16(a21, xf[2], w1r, k, kk, b0[2], j0 + 1);
-        o3[0] = FinishBf16(a30, xf[3], w0r, k, kk, b0[3], j0);
-        o3[1] = FinishBf16(a31, xf[3], w1r, k, kk, b0[3], j0 + 1);
-      }
-      for (int64_t j = np * kGemmNr; j < n; ++j) {
-        for (int64_t r = 0; r < kGemmMr; ++r) {
-          out[(i0 + r) * n + j] =
-              DotBiasBf16(xf[r], w + j * k, k, b0[r], j);
-        }
-      }
-    } else {
-      for (int64_t r = 0; r < mr; ++r) {
-        for (int64_t j = 0; j < n; ++j) {
-          out[(i0 + r) * n + j] =
-              DotBiasBf16(xf[r], w + j * k, k, b0[r], j);
-        }
-      }
-    }
-  }
-}
-
-// Blocked int8 GEMM: per-band double -> float conversion also yields each
-// activation row's sum (the zero-point term), shared by every output row.
-DEEPST_INFER_CLONES
-void GemmBandsI8(const double* x, int64_t ldx, const int8_t* w,
-                 const int8_t* panels, const float* scale,
-                 const int32_t* zero, const float* bias, const int* bias_row,
-                 float* out, int64_t m, int64_t k, int64_t n,
-                 int64_t band_begin, int64_t band_end) {
-  DEEPST_CHECK(k <= kMaxFloatK);
-  const int64_t kb = k / 16;
-  const int64_t np = n / kGemmNr;
-  const int64_t pstride = kb * kGemmNr * 16;
-  float xf[kGemmMr][kMaxFloatK];
-  float xsum[kGemmMr] = {};
-  for (int64_t band = band_begin; band < band_end; ++band) {
-    const int64_t i0 = band * kGemmMr;
-    const int64_t mr = std::min<int64_t>(kGemmMr, m - i0);
-    const float* b0[kGemmMr] = {};
-    for (int64_t r = 0; r < mr; ++r) {
-      xsum[r] = ToFloatRowSum(x + (i0 + r) * ldx, xf[r], k);
-      b0[r] = BiasBase(bias, bias_row, i0 + r, n);
-    }
-    if (mr == kGemmMr) {
-      for (int64_t p = 0; p < np; ++p) {
-        const int64_t j0 = p * kGemmNr;
-        const int8_t* pp = panels + p * pstride;
-        VecF16 a00 = kZeroF16, a01 = kZeroF16, a10 = kZeroF16,
-               a11 = kZeroF16;
-        VecF16 a20 = kZeroF16, a21 = kZeroF16, a30 = kZeroF16,
-               a31 = kZeroF16;
-        int64_t kk = 0;
-        for (; kk + 16 <= k; kk += 16, pp += 32) {
-          VecQ16 qv;
-          VecF16 xv;
-          std::memcpy(&qv, pp, sizeof(qv));
-          const VecF16 fv0 = __builtin_convertvector(
-              __builtin_convertvector(__builtin_convertvector(qv, VecW16),
-                                      VecI16),
-              VecF16);
-          std::memcpy(&qv, pp + 16, sizeof(qv));
-          const VecF16 fv1 = __builtin_convertvector(
-              __builtin_convertvector(__builtin_convertvector(qv, VecW16),
-                                      VecI16),
-              VecF16);
-          std::memcpy(&xv, xf[0] + kk, sizeof(xv));
-          a00 += xv * fv0;
-          a01 += xv * fv1;
-          std::memcpy(&xv, xf[1] + kk, sizeof(xv));
-          a10 += xv * fv0;
-          a11 += xv * fv1;
-          std::memcpy(&xv, xf[2] + kk, sizeof(xv));
-          a20 += xv * fv0;
-          a21 += xv * fv1;
-          std::memcpy(&xv, xf[3] + kk, sizeof(xv));
-          a30 += xv * fv0;
-          a31 += xv * fv1;
-        }
-        const int8_t* w0r = w + j0 * k;
-        const int8_t* w1r = w0r + k;
-        float* o0 = out + (i0 + 0) * n + j0;
-        float* o1 = out + (i0 + 1) * n + j0;
-        float* o2 = out + (i0 + 2) * n + j0;
-        float* o3 = out + (i0 + 3) * n + j0;
-        o0[0] = FinishI8(a00, xf[0], xsum[0], w0r, k, kk, scale[j0],
-                         zero[j0], b0[0], j0);
-        o0[1] = FinishI8(a01, xf[0], xsum[0], w1r, k, kk, scale[j0 + 1],
-                         zero[j0 + 1], b0[0], j0 + 1);
-        o1[0] = FinishI8(a10, xf[1], xsum[1], w0r, k, kk, scale[j0],
-                         zero[j0], b0[1], j0);
-        o1[1] = FinishI8(a11, xf[1], xsum[1], w1r, k, kk, scale[j0 + 1],
-                         zero[j0 + 1], b0[1], j0 + 1);
-        o2[0] = FinishI8(a20, xf[2], xsum[2], w0r, k, kk, scale[j0],
-                         zero[j0], b0[2], j0);
-        o2[1] = FinishI8(a21, xf[2], xsum[2], w1r, k, kk, scale[j0 + 1],
-                         zero[j0 + 1], b0[2], j0 + 1);
-        o3[0] = FinishI8(a30, xf[3], xsum[3], w0r, k, kk, scale[j0],
-                         zero[j0], b0[3], j0);
-        o3[1] = FinishI8(a31, xf[3], xsum[3], w1r, k, kk, scale[j0 + 1],
-                         zero[j0 + 1], b0[3], j0 + 1);
-      }
-      for (int64_t j = np * kGemmNr; j < n; ++j) {
-        for (int64_t r = 0; r < kGemmMr; ++r) {
-          out[(i0 + r) * n + j] = DotBiasI8(xf[r], xsum[r], w + j * k, k,
-                                            scale[j], zero[j], b0[r], j);
-        }
-      }
-    } else {
-      for (int64_t r = 0; r < mr; ++r) {
-        for (int64_t j = 0; j < n; ++j) {
-          out[(i0 + r) * n + j] = DotBiasI8(xf[r], xsum[r], w + j * k, k,
-                                            scale[j], zero[j], b0[r], j);
-        }
-      }
-    }
-  }
-}
-
-// Routes one batched GEMV through the blocked kernels. Thread partitioning
-// runs over whole bands (grain 1 band = kGemmMr activation rows x all n
-// outputs) so a micro-tile is never split; each band's outputs depend only
-// on (x, w), not on which chunk computed them.
-void GemmBlocked(const double* x, int64_t ldx, const PackedMatrix& w,
-                 const float* bias, const int* bias_row, float* out, int64_t m,
-                 int64_t n) {
-  const int64_t k = w.cols;
-  const int64_t bands = (m + kGemmMr - 1) / kGemmMr;
-  switch (w.precision) {
-    case Precision::kDouble:
-      ParallelFor(bands, 1, [&](int64_t b0, int64_t b1) {
-        GemmBandsD(x, ldx, w.d.data(), w.pd.data(), bias, bias_row, out, m,
-                   k, n, b0, b1);
-      });
-      return;
-    case Precision::kBf16:
-      ParallelFor(bands, 1, [&](int64_t b0, int64_t b1) {
-        GemmBandsBf16(x, ldx, w.h.data(), w.ph.data(), bias, bias_row, out,
-                      m, k, n, b0, b1);
-      });
-      return;
-    case Precision::kInt8:
-      ParallelFor(bands, 1, [&](int64_t b0, int64_t b1) {
-        GemmBandsI8(x, ldx, w.q.data(), w.pq.data(), w.scale.data(),
-                    w.zero.data(), bias, bias_row, out, m, k, n, b0, b1);
-      });
-      return;
-  }
-}
-
 // Output panels [p_begin, p_end) of LinearRowOutputMajor. Lane l of
 // accumulator g holds output p * kOutBlock + 8g + l and runs GemmAccBT's
 // scalar sequence for it: a float product, widened exactly, added to a
@@ -687,135 +276,38 @@ void LinearForward(const double* x, int64_t ldx, const double* w, int64_t ldw,
 }
 
 PackedMatrix PackedMatrix::Pack(const float* w, int64_t rows, int64_t cols,
-                                int64_t ldw, Precision precision) {
+                                int64_t ldw) {
   PackedMatrix p;
-  p.precision = precision;
   p.rows = rows;
   p.cols = cols;
-  const size_t numel = static_cast<size_t>(rows * cols);
-  switch (precision) {
-    case Precision::kDouble: {
-      p.d.resize(numel);
-      for (int64_t r = 0; r < rows; ++r) {
-        ToDouble(w + r * ldw, p.d.data() + r * cols, cols);
-      }
-      break;
-    }
-    case Precision::kBf16: {
-      p.h.resize(numel);
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-          p.h[static_cast<size_t>(r * cols + c)] = PackBf16(w[r * ldw + c]);
-        }
-      }
-      break;
-    }
-    case Precision::kInt8: {
-      p.q.resize(numel);
-      p.scale.resize(static_cast<size_t>(rows));
-      p.zero.resize(static_cast<size_t>(rows));
-      for (int64_t r = 0; r < rows; ++r) {
-        const float* row = w + r * ldw;
-        float mn = cols > 0 ? row[0] : 0.0f;
-        float mx = mn;
-        for (int64_t c = 1; c < cols; ++c) {
-          mn = std::min(mn, row[c]);
-          mx = std::max(mx, row[c]);
-        }
-        const double range = static_cast<double>(mx) - static_cast<double>(mn);
-        const double amax = std::max(std::fabs(static_cast<double>(mn)),
-                                     std::fabs(static_cast<double>(mx)));
-        // (Near-)constant rows get scale = |value| so the zero-point lands
-        // one step away and reconstructs the value exactly; the relative
-        // cutoff also keeps w/scale far from integer overflow.
-        const double s = range > amax * 1e-6
-                             ? range / 255.0
-                             : std::max(amax, 1e-12);
-        p.scale[static_cast<size_t>(r)] = static_cast<float>(s);
-        // Quantize against the float32 scale actually stored, so the kernel
-        // and Dequant reproduce the packer's arithmetic exactly.
-        const double sf =
-            static_cast<double>(p.scale[static_cast<size_t>(r)]);
-        const int32_t z = static_cast<int32_t>(
-            std::lround(-128.0 - static_cast<double>(mn) / sf));
-        p.zero[static_cast<size_t>(r)] = z;
-        for (int64_t c = 0; c < cols; ++c) {
-          const long qi =
-              std::lround(static_cast<double>(row[c]) / sf) +
-              static_cast<long>(z);
-          p.q[static_cast<size_t>(r * cols + c)] = static_cast<int8_t>(
-              std::clamp<long>(qi, -128, 127));
-        }
-      }
-      break;
-    }
+  p.d.resize(static_cast<size_t>(rows * cols));
+  for (int64_t r = 0; r < rows; ++r) {
+    ToDouble(w + r * ldw, p.d.data() + r * cols, cols);
   }
   return p;
 }
 
-double PackedMatrix::Dequant(int64_t r, int64_t c) const {
-  const size_t e = static_cast<size_t>(r * cols + c);
-  switch (precision) {
-    case Precision::kDouble:
-      return d[e];
-    case Precision::kBf16:
-      return static_cast<double>(UnpackBf16(h[e]));
-    case Precision::kInt8:
-      return static_cast<double>(scale[static_cast<size_t>(r)]) *
-             (static_cast<double>(q[e]) -
-              static_cast<double>(zero[static_cast<size_t>(r)]));
-  }
-  return 0.0;
-}
-
-size_t PackedMatrix::PackedBytes() const {
-  return d.size() * sizeof(double) + h.size() * sizeof(uint16_t) +
-         q.size() * sizeof(int8_t) + scale.size() * sizeof(float) +
-         zero.size() * sizeof(int32_t);
-}
-
 void PackedMatrix::BuildPanels() {
   if (has_panels()) return;
-  const int64_t bw = PanelBlock();
+  constexpr int64_t bw = 8;           // one Vec8 per K block
   const int64_t np = rows / kGemmNr;  // full panels of kGemmNr rows
   const int64_t kb = cols / bw;       // full K vector blocks
   // A matrix too small for even one full panel/block gains nothing from
   // blocking; GemvForward keeps the chunk path when has_panels() is false.
   if (np == 0 || kb == 0) return;
-  const size_t numel = static_cast<size_t>(np * kb * kGemmNr * bw);
-  // panel[p][b][r][lane] = element (p*kGemmNr + r, b*bw + lane): the
+  pd.resize(static_cast<size_t>(np * kb * kGemmNr * bw));
+  // pd[p][b][r][lane] = element (p*kGemmNr + r, b*bw + lane): the
   // micro-kernel streams one contiguous panel per K block instead of
   // kGemmNr strided rows.
-  const auto fill = [&](auto* dst, const auto* src) {
-    size_t e = 0;
-    for (int64_t p = 0; p < np; ++p) {
-      for (int64_t b = 0; b < kb; ++b) {
-        for (int64_t r = 0; r < kGemmNr; ++r) {
-          const auto* row = src + (p * kGemmNr + r) * cols + b * bw;
-          for (int64_t l = 0; l < bw; ++l) dst[e++] = row[l];
-        }
+  size_t e = 0;
+  for (int64_t p = 0; p < np; ++p) {
+    for (int64_t b = 0; b < kb; ++b) {
+      for (int64_t r = 0; r < kGemmNr; ++r) {
+        const double* row = d.data() + (p * kGemmNr + r) * cols + b * bw;
+        for (int64_t l = 0; l < bw; ++l) pd[e++] = row[l];
       }
     }
-  };
-  switch (precision) {
-    case Precision::kDouble:
-      pd.resize(numel);
-      fill(pd.data(), d.data());
-      break;
-    case Precision::kBf16:
-      ph.resize(numel);
-      fill(ph.data(), h.data());
-      break;
-    case Precision::kInt8:
-      pq.resize(numel);
-      fill(pq.data(), q.data());
-      break;
   }
-}
-
-size_t PackedMatrix::PanelBytes() const {
-  return pd.size() * sizeof(double) + ph.size() * sizeof(uint16_t) +
-         pq.size() * sizeof(int8_t);
 }
 
 void GemvForward(const double* x, int64_t ldx, const PackedMatrix& w,
@@ -824,26 +316,16 @@ void GemvForward(const double* x, int64_t ldx, const PackedMatrix& w,
   DEEPST_DCHECK(w.rows == n);
   const int64_t k = w.cols;
   if (m > 1 && w.has_panels()) {
-    GemmBlocked(x, ldx, w, bias, bias_row, out, m, n);
+    // Thread partitioning runs over whole bands (grain 1 band = kGemmMr
+    // activation rows x all n outputs) so a micro-tile is never split; each
+    // band's outputs depend only on (x, w), not on which chunk computed them.
+    ParallelFor((m + kGemmMr - 1) / kGemmMr, 1, [&](int64_t b0, int64_t b1) {
+      GemmBandsD(x, ldx, w.d.data(), w.pd.data(), bias, bias_row, out, m, k, n,
+                 b0, b1);
+    });
     return;
   }
-  switch (w.precision) {
-    case Precision::kDouble:
-      LinearForward(x, ldx, w.d.data(), k, bias, bias_row, out, m, k, n);
-      return;
-    case Precision::kBf16:
-      ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-        GemvChunkBf16(x, ldx, w.h.data(), bias, bias_row, out, k, n, begin,
-                      end);
-      });
-      return;
-    case Precision::kInt8:
-      ParallelFor(m * n, kDotGrain, [&](int64_t begin, int64_t end) {
-        GemvChunkI8(x, ldx, w.q.data(), w.scale.data(), w.zero.data(), bias,
-                    bias_row, out, k, n, begin, end);
-      });
-      return;
-  }
+  LinearForward(x, ldx, w.d.data(), k, bias, bias_row, out, m, k, n);
 }
 
 OutputMajorMatrix OutputMajorMatrix::Pack(const float* w, int64_t rows,
@@ -910,8 +392,7 @@ void MlpView::Forward(const float* x, float* out) const {
   }
 }
 
-GruStackView GruStackView::Of(const StackedGru& gru, int64_t emb_dim,
-                              Precision precision) {
+GruStackView GruStackView::Of(const StackedGru& gru, int64_t emb_dim) {
   GruStackView view;
   view.hidden_dim = gru.hidden_dim();
   view.cells.reserve(static_cast<size_t>(gru.num_layers()));
@@ -928,19 +409,17 @@ GruStackView GruStackView::Of(const StackedGru& gru, int64_t emb_dim,
       // Split input: pack only the per-step embedding columns; the context
       // columns stay exact doubles (folded once per query, see GruCellView).
       const int64_t ctx_dim = cell.input_dim() - emb_dim;
-      v.w_ih =
-          PackedMatrix::Pack(wih, h3, emb_dim, cell.input_dim(), precision);
+      v.w_ih = PackedMatrix::Pack(wih, h3, emb_dim, cell.input_dim());
       v.w_ih_ctx.resize(static_cast<size_t>(h3 * ctx_dim));
       for (int64_t r = 0; r < h3; ++r) {
         ToDouble(wih + r * cell.input_dim() + emb_dim,
                  v.w_ih_ctx.data() + r * ctx_dim, ctx_dim);
       }
     } else {
-      v.w_ih = PackedMatrix::Pack(wih, h3, cell.input_dim(),
-                                  cell.input_dim(), precision);
+      v.w_ih = PackedMatrix::Pack(wih, h3, cell.input_dim(), cell.input_dim());
     }
     v.w_hh = PackedMatrix::Pack(cell.w_hh().data(), h3, cell.hidden_dim(),
-                                cell.hidden_dim(), precision);
+                                cell.hidden_dim());
     view.cells.push_back(std::move(v));
   }
   return view;

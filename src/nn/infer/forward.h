@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "nn/infer/precision.h"
 #include "nn/layers.h"
 #include "nn/tensor.h"
 
@@ -64,94 +63,57 @@ void LinearForward(const double* x, int64_t ldx, const double* w, int64_t ldw,
                    const float* bias, const int* bias_row, float* out,
                    int64_t m, int64_t k, int64_t n);
 
-// A weight matrix packed once for the GEMV fast path, in one of the
-// precisions of nn/infer/precision.h. Packing reads a [rows, cols] block of
-// a float source with row stride `ldw` (>= cols), so callers can pack a
-// column slice — e.g. the embedding columns of the layer-0 GRU input weight
-// — without materializing it.
-//
-//   kDouble: exact widening; GemvForward over a kDouble matrix is the same
-//            arithmetic as LinearForward (bitwise identical).
-//   kBf16:   round-to-nearest-even truncation to the top 16 float bits;
-//            decoded to float lanes inside the kernel.
-//   kInt8:   per-row affine quantization q = clamp(round(w/s) + z, -128, 127)
-//            with s covering the row's [min, max] range; the kernel
-//            reconstructs s * (sum_k x_k q_k - z * sum_k x_k) so the
-//            zero-point costs one activation-row sum, not a dequant per tap.
-//
-// The reduced precisions accumulate in float over a source-fixed 16-lane
-// order (the operands carry at most 8 mantissa bits, so accumulator
-// rounding is far below the quantization error; the double path is the
-// bitwise-exact one). Activation rows are capped at 1024 columns for the
-// reduced precisions (stack-staged float conversion); every model here is
-// well under that.
+// A weight matrix packed once for the GEMV fast path: exact widening to
+// double, so GemvForward over it is the same arithmetic as LinearForward
+// (bitwise identical). Packing reads a [rows, cols] block of a float source
+// with row stride `ldw` (>= cols), so callers can pack a column slice —
+// e.g. the embedding columns of the layer-0 GRU input weight — without
+// materializing it.
 struct PackedMatrix {
-  Precision precision = Precision::kDouble;
   int64_t rows = 0;
   int64_t cols = 0;
-  std::vector<double> d;     // kDouble: [rows, cols]
-  std::vector<uint16_t> h;   // kBf16:   [rows, cols] bfloat16 bit patterns
-  std::vector<int8_t> q;     // kInt8:   [rows, cols]
-  std::vector<float> scale;  // kInt8:   [rows]
-  std::vector<int32_t> zero;  // kInt8:  [rows]
+  std::vector<double> d;  // [rows, cols]
 
   // K-major panel-packed sidecar for the blocked GEMM path (built by
   // BuildPanels, empty after a bare Pack). Rows are grouped into panels of
-  // kGemmNr; within a panel the full vector blocks of the K dimension are
+  // kGemmNr; within a panel the full 8-double blocks of the K dimension are
   // interleaved row-by-row, so the micro-kernel streams one contiguous
   // panel instead of kGemmNr strided rows:
-  //   panel[p][b][r][lane] = element (p*kGemmNr + r, b*block + lane)
-  // with block = 8 doubles (kDouble) or 16 elements (kBf16/kInt8), matching
-  // the kernels' vector widths. Only full panels and full K blocks are
-  // packed; row/K tails go through the retained row-major arrays, and the
-  // int8 scale/zero sidecar stays per-row (shared with the chunk path).
+  //   pd[p][b][r][lane] = element (p*kGemmNr + r, b*8 + lane)
+  // Only full panels and full K blocks are packed; row/K tails go through
+  // the row-major array.
   std::vector<double> pd;
-  std::vector<uint16_t> ph;
-  std::vector<int8_t> pq;
 
   static PackedMatrix Pack(const float* w, int64_t rows, int64_t cols,
-                           int64_t ldw, Precision precision);
+                           int64_t ldw);
   // Builds the panel sidecar above; idempotent. Worth calling whenever the
   // matrix will see batched (m > 1) GEMVs — GemvForward routes through the
-  // blocked kernels exactly when panels are present and m > 1.
+  // blocked kernel exactly when panels are present and m > 1.
   void BuildPanels();
-  bool has_panels() const {
-    return !pd.empty() || !ph.empty() || !pq.empty();
-  }
-  // Vector-block width of the K dimension for this precision (8 doubles or
-  // 16 reduced-precision elements).
-  int64_t PanelBlock() const {
-    return precision == Precision::kDouble ? 8 : 16;
-  }
-  // Dequantized value of element (r, c) — the value the kernel multiplies
-  // against; exact round-trip check for tests and reference GEMVs.
-  double Dequant(int64_t r, int64_t c) const;
-  // Packed weight bytes including the int8 scale/zero-point sidecar
-  // (row-major arrays only; the panel sidecar is reported separately).
-  size_t PackedBytes() const;
-  // Bytes held by the K-major panel sidecar (0 until BuildPanels).
-  size_t PanelBytes() const;
+  bool has_panels() const { return !pd.empty(); }
+  // Bytes of the row-major array and of the panel sidecar (0 until
+  // BuildPanels), reported separately for footprint accounting.
+  size_t PackedBytes() const { return d.size() * sizeof(double); }
+  size_t PanelBytes() const { return pd.size() * sizeof(double); }
   bool empty() const { return rows == 0; }
 };
 
 // GEMV against a packed matrix:
-//   out[i, j] = dot(x[i, :], dequant(w[j, :])) + (bias ? b_i[j] : 0)
+//   out[i, j] = dot(x[i, :], w[j, :]) + (bias ? b_i[j] : 0)
 // Same contract as LinearForward (bias_row included) with w.rows == n,
-// w.cols == k; for a kDouble matrix the result is bitwise identical to
-// LinearForward. All precisions keep the kernels' determinism contract:
-// row-local, fixed-order accumulation, bitwise identical across ISA clones /
-// thread counts / batch compositions.
+// w.cols == k, and bitwise identical to it: row-local, fixed-order
+// accumulation, the same bits across ISA clones, thread counts and batch
+// compositions.
 //
 // When `m > 1` and the matrix carries a panel sidecar (BuildPanels), the
-// call routes through register-blocked kGemmMr x kGemmNr GEMM micro-kernels
-// that amortize each streamed weight panel across kGemmMr activation rows.
-// Blocking reorders work only *across* output elements, never within one:
-// each element still accumulates in the chunk kernels' exact lane order
-// (8-lane pairwise double for kDouble, source-fixed 16-lane float for
-// bf16/int8), so the blocked path is bitwise identical to the chunk path
-// for every precision — it is purely a bandwidth optimization. The double
-// tile reduces its eight accumulators together (a transposed pairwise
-// tree, each sum in the chunk kernel's pairing order).
+// call routes through a register-blocked kGemmMr x kGemmNr GEMM
+// micro-kernel that amortizes each streamed weight panel across kGemmMr
+// activation rows. Blocking reorders work only *across* output elements,
+// never within one: each element still accumulates in the chunk kernel's
+// exact 8-lane pairwise order, so the blocked path is bitwise identical to
+// the chunk path — it is purely a bandwidth optimization. The tile
+// reduces its eight accumulators together (a transposed pairwise tree,
+// each sum in the chunk kernel's pairing order).
 void GemvForward(const double* x, int64_t ldx, const PackedMatrix& w,
                  const float* bias, const int* bias_row, float* out, int64_t m,
                  int64_t n);
@@ -225,10 +187,8 @@ void TanhLanes(const float* x, float* y, int64_t n);
 // float; they are added after the accumulation). Layer 0 supports the
 // split-input optimization: the GRU input is [token_embedding, context]
 // where context is constant per query, so w_ih holds only the per-step
-// embedding columns (packed at the session precision) while the context
-// columns stay exact doubles in w_ih_ctx — their product (+ b_ih) is folded
-// once per query into the layer-0 bias, where a quantization error would be
-// amplified across every step.
+// embedding columns while the context columns sit in w_ih_ctx — their
+// product (+ b_ih) is folded once per query into the layer-0 bias.
 struct GruCellView {
   PackedMatrix w_ih;             // [3H, emb_dim] (layer 0) or [3H, H]
   PackedMatrix w_hh;             // [3H, H]
@@ -244,9 +204,8 @@ struct GruStackView {
   int64_t hidden_dim = 0;
 
   // `emb_dim` is the layer-0 embedding-column count (the context columns
-  // input_dim - emb_dim stay double, see GruCellView).
-  static GruStackView Of(const StackedGru& gru, int64_t emb_dim,
-                         Precision precision);
+  // input_dim - emb_dim go to w_ih_ctx, see GruCellView).
+  static GruStackView Of(const StackedGru& gru, int64_t emb_dim);
   int num_layers() const { return static_cast<int>(cells.size()); }
 };
 

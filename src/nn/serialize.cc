@@ -226,11 +226,10 @@ util::StatusOr<std::string> DescribeParamsFile(const std::string& path,
     return out;
   }
   int64_t elements = 0;
-  // GEMV-packable weights: the matrices the inference fast path repacks at
-  // config.infer_precision (gru w_ih/w_hh and the alpha head; biases and
-  // the gathered embedding table stay float/double).
+  // GEMV-packable weights: the matrices the inference fast path repacks as
+  // double (gru w_ih/w_hh and the alpha head; biases and the gathered
+  // embedding table stay float).
   int64_t gemv_elements = 0;
-  int64_t gemv_rows = 0;
   auto ends_with = [](const std::string& s, const char* suffix) {
     const size_t n = std::char_traits<char>::length(suffix);
     return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
@@ -240,30 +239,20 @@ util::StatusOr<std::string> DescribeParamsFile(const std::string& path,
     const bool gemv = t.ndim() == 2 &&
                       (ends_with(name, "/w_ih") || ends_with(name, "/w_hh") ||
                        name == "alpha/weight");
-    if (gemv) {
-      gemv_elements += t.numel();
-      gemv_rows += t.dim(0);
-    }
+    if (gemv) gemv_elements += t.numel();
   }
   out += util::StrFormat(
       "  tensors: %zu (%lld elements, %.1f MiB)\n"
-      "  storage precision: float32 (packed per-run at --precision)\n"
+      "  storage precision: float32 (GEMV weights packed as double per run)\n"
       "  crc: none (parameter files rely on shape/name validation)\n"
       "  zero-copy: no (streaming format)\n",
       tensors.value().size(), static_cast<long long>(elements),
       static_cast<double>(elements) * sizeof(float) / (1024.0 * 1024.0));
   if (gemv_elements > 0) {
-    const double kib = 1.0 / 1024.0;
     out += util::StrFormat(
-        "  gemv-packable: %lld elements; packed double %.0f KiB, "
-        "bf16 %.0f KiB, int8 %.0f KiB\n",
+        "  gemv-packable: %lld elements; packed double %.0f KiB\n",
         static_cast<long long>(gemv_elements),
-        static_cast<double>(gemv_elements) * 8.0 * kib,
-        static_cast<double>(gemv_elements) * 2.0 * kib,
-        // int8 carries a float scale + int32 zero-point per row.
-        (static_cast<double>(gemv_elements) +
-         static_cast<double>(gemv_rows) * 8.0) *
-            kib);
+        static_cast<double>(gemv_elements) * 8.0 / 1024.0);
   }
   return out;
 }

@@ -331,6 +331,37 @@ TEST(InferenceBatchTest, BatchedContinuationsBitwiseEqualIndividual) {
   }
 }
 
+// A one-segment prefix continued by {prefix.back()} has no transition and
+// scores 0; batched beside longer candidates it must not be padded into
+// the step batch (a finished row re-feeds its second-to-last segment,
+// which a one-segment row does not have).
+TEST(InferenceBatchTest, OneSegmentContinuationScoresZeroInABatch) {
+  auto& world = TestWorld();
+  DeepSTConfig cfg = SmallConfig();
+  DeepSTModel model(world.net(), cfg, world.traffic_cache());
+  util::Rng rng(44);
+  const auto trips = TestTrips(1);
+  ASSERT_EQ(trips.size(), 1u);
+  const traj::Route& route = trips[0]->trip.route;
+  PredictionContext ctx =
+      model.MakeContext(eval::QueryFor(trips[0]->trip), &rng);
+  const traj::Route prefix = {route[0]};
+  const std::vector<traj::Route> candidates = {
+      {route[0]}, {route[0], route[1]}, {route[0], route[1], route[2]}};
+  const std::vector<double> batched =
+      model.ScoreContinuations(ctx, prefix, candidates);
+  ASSERT_EQ(batched.size(), candidates.size());
+  EXPECT_EQ(batched[0], 0.0);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(batched[i], model.ScoreContinuation(ctx, prefix, candidates[i]))
+        << i;
+    EXPECT_NEAR(batched[i],
+                model.ScoreContinuationReference(ctx, prefix, candidates[i]),
+                kParityTol)
+        << i;
+  }
+}
+
 TEST(InferenceBatchTest, RankRoutesUsesBatchedScoresConsistently) {
   auto& world = TestWorld();
   DeepSTConfig cfg = SmallConfig();
@@ -431,8 +462,8 @@ TEST(InferenceArenaTest, ZeroAllocationSteadyState) {
 }
 
 // The session calls ZeroAllocationSteadyState leaves out: PredictRoute's
-// step loop (greedy at beam_width 1, sampled without map_prediction),
-// shared-prefix continuation scoring and the teacher-forced top-1 slots.
+// step loop (greedy at beam_width 1, sampled without map_prediction) and
+// shared-prefix continuation scoring.
 TEST(InferenceArenaTest, StepLoopCallsAllocateOnlyTheirResult) {
   auto& world = TestWorld();
   const auto trips = TestTrips(1);
@@ -457,13 +488,10 @@ TEST(InferenceArenaTest, StepLoopCallsAllocateOnlyTheirResult) {
     const PredictionContext ctx = model.MakeContext(query, &rng);
     traj::Route predicted;
     std::vector<double> scores;
-    std::vector<int> slots;
-    slots.reserve(route.size());
     auto run = [&] {
       util::Rng r(9);
       predicted = session.PredictRoute(ctx, query.origin, &r);
       scores = session.ScoreContinuations(ctx, prefix, candidates);
-      session.TopSlotsAlongRoute(ctx, route, &slots);
     };
     run();
     const int64_t warm = session.arena_grow_count();
@@ -481,10 +509,6 @@ TEST(InferenceArenaTest, StepLoopCallsAllocateOnlyTheirResult) {
                 scores = session.ScoreContinuations(ctx, prefix, candidates);
               }).count,
               1);  // the returned scores
-    EXPECT_EQ(CountAllocs([&] {
-                session.TopSlotsAlongRoute(ctx, route, &slots);
-              }).count,
-              0);
 #endif  // DEEPST_COUNT_ALLOCS
   }
 }

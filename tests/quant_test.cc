@@ -1,10 +1,9 @@
-// Coverage of the quantized inference kernels and the transition memo
-// (fast path round two): packing round-trips, GEMV parity against the
-// dequantized reference, batch-composition invariance, end-to-end accuracy
-// parity of the reduced precisions against the double path, the blocked
-// and output-major kernels bitwise against their references, bitwise memo
-// parity across greedy/beam/multi entry points, epoch invalidation on
-// weight swaps, and exact concurrent hit accounting.
+// Coverage of the packed GEMV kernels and the transition memo: GEMV parity
+// against a sequential reference, batch-composition invariance, the blocked
+// and output-major kernels and the GRU gates bitwise against their
+// references, panel packing of the shared weights, bitwise memo parity
+// across greedy/beam/multi entry points, epoch invalidation on weight
+// swaps, and exact concurrent hit accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -33,7 +32,6 @@ namespace {
 using nn::infer::MemoKey;
 using nn::infer::MixKey;
 using nn::infer::PackedMatrix;
-using nn::infer::Precision;
 using nn::infer::TransitionMemoCache;
 
 eval::World& TestWorld() {
@@ -65,7 +63,7 @@ DeepSTConfig SmallConfig() {
 }
 
 // Base test config: DeepST-C (no traffic dependency, deterministic MAP
-// beam) at the default memo capacity and double precision.
+// beam) at the default memo capacity.
 DeepSTConfig MemoConfig() { return baselines::DeepStCConfigOf(SmallConfig()); }
 
 std::vector<const traj::TripRecord*> TestTrips(int n) {
@@ -77,8 +75,8 @@ std::vector<const traj::TripRecord*> TestTrips(int n) {
   return out;
 }
 
-// Reference GEMV through PackedMatrix::Dequant, accumulated sequentially in
-// double: the value the kernel approximates.
+// Reference GEMV over the packed doubles, accumulated sequentially: the
+// value the kernel approximates.
 void ReferenceGemv(const std::vector<double>& x, const PackedMatrix& w,
                    const float* bias, std::vector<float>* out, int64_t m) {
   const int64_t k = w.cols;
@@ -88,7 +86,8 @@ void ReferenceGemv(const std::vector<double>& x, const PackedMatrix& w,
     for (int64_t j = 0; j < n; ++j) {
       double acc = 0.0;
       for (int64_t kk = 0; kk < k; ++kk) {
-        acc += x[static_cast<size_t>(i * k + kk)] * w.Dequant(j, kk);
+        acc += x[static_cast<size_t>(i * k + kk)] *
+               w.d[static_cast<size_t>(j * k + kk)];
       }
       float v = static_cast<float>(acc);
       if (bias != nullptr) v += bias[j];
@@ -97,83 +96,23 @@ void ReferenceGemv(const std::vector<double>& x, const PackedMatrix& w,
   }
 }
 
-TEST(PackingTest, Bf16RoundTripWithinHalfUlp) {
-  util::Rng rng(3);
-  const int64_t rows = 9, cols = 21;
-  nn::Tensor w = nn::Tensor::Uniform({rows, cols}, -4.0, 4.0, &rng);
-  const PackedMatrix p = PackedMatrix::Pack(w.data(), rows, cols, cols,
-                                            Precision::kBf16);
-  EXPECT_EQ(p.PackedBytes(), static_cast<size_t>(rows * cols) * 2);
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t c = 0; c < cols; ++c) {
-      const double orig = w.data()[r * cols + c];
-      // bf16 keeps 8 significand bits; round-to-nearest-even is within half
-      // an ulp, i.e. 2^-8 relative.
-      EXPECT_NEAR(p.Dequant(r, c), orig, std::fabs(orig) * 0x1p-8 + 1e-30);
-    }
-  }
-}
-
-TEST(PackingTest, Bf16ExactForRepresentableValues) {
-  const float vals[] = {0.0f, 1.0f, -2.0f, 0.5f, -0.3125f, 96.0f};
-  const PackedMatrix p = PackedMatrix::Pack(vals, 1, 6, 6, Precision::kBf16);
-  for (int64_t c = 0; c < 6; ++c) {
-    EXPECT_EQ(p.Dequant(0, c), static_cast<double>(vals[c]));
-  }
-}
-
-TEST(PackingTest, Int8RoundTripWithinOneStep) {
-  util::Rng rng(4);
-  const int64_t rows = 7, cols = 33;
-  nn::Tensor w = nn::Tensor::Uniform({rows, cols}, -2.0, 2.0, &rng);
-  const PackedMatrix p = PackedMatrix::Pack(w.data(), rows, cols, cols,
-                                            Precision::kInt8);
-  EXPECT_EQ(p.PackedBytes(),
-            static_cast<size_t>(rows * cols) + static_cast<size_t>(rows) * 8);
-  for (int64_t r = 0; r < rows; ++r) {
-    const double step = static_cast<double>(p.scale[static_cast<size_t>(r)]);
-    for (int64_t c = 0; c < cols; ++c) {
-      // Affine quantization over the row range: each value is within one
-      // step (round + clamp each contribute at most half).
-      EXPECT_NEAR(p.Dequant(r, c), w.data()[r * cols + c], step);
-    }
-  }
-}
-
-TEST(PackingTest, Int8ConstantAndZeroRows) {
-  const float vals[] = {0.75f, 0.75f, 0.75f, 0.75f,   // constant row
-                        0.0f,  0.0f,  0.0f,  0.0f,    // zero row
-                        1.0f,  1.0f,  1.0f,  1.0000001f};  // near-constant
-  const PackedMatrix p = PackedMatrix::Pack(vals, 3, 4, 4, Precision::kInt8);
-  for (int64_t c = 0; c < 4; ++c) {
-    EXPECT_NEAR(p.Dequant(0, c), 0.75, 1e-7);
-    EXPECT_EQ(p.Dequant(1, c), 0.0);
-    EXPECT_NEAR(p.Dequant(2, c), 1.0, 1e-6);
-  }
-}
-
-TEST(GemvTest, MatchesDequantReferencePerPrecision) {
+TEST(GemvTest, MatchesSequentialReference) {
   util::Rng rng(5);
   const int64_t m = 5, k = 37, n = 29;
   nn::Tensor wt = nn::Tensor::Uniform({n, k}, -1.5, 1.5, &rng);
   nn::Tensor bias = nn::Tensor::Uniform({n}, -1.0, 1.0, &rng);
   std::vector<double> x(static_cast<size_t>(m * k));
   for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
-  for (Precision prec :
-       {Precision::kDouble, Precision::kBf16, Precision::kInt8}) {
-    const PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-    std::vector<float> got(static_cast<size_t>(m * n));
-    nn::infer::GemvForward(x.data(), k, p, bias.data(), nullptr, got.data(),
-                           m, n);
-    std::vector<float> want;
-    ReferenceGemv(x, p, bias.data(), &want, m);
-    for (size_t e = 0; e < got.size(); ++e) {
-      // The kernel differs from the sequential double reference only in
-      // accumulation order (8 double lanes, resp. 16 float lanes); 1e-3
-      // bounds the float-lane case with room to spare at these sizes.
-      EXPECT_NEAR(got[e], want[e], 1e-3) << nn::infer::PrecisionName(prec)
-                                         << " element " << e;
-    }
+  const PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k);
+  std::vector<float> got(static_cast<size_t>(m * n));
+  nn::infer::GemvForward(x.data(), k, p, bias.data(), nullptr, got.data(), m,
+                         n);
+  std::vector<float> want;
+  ReferenceGemv(x, p, bias.data(), &want, m);
+  for (size_t e = 0; e < got.size(); ++e) {
+    // The kernel differs from the sequential reference only in the order of
+    // its 8 double lanes, which can move the float cast by one ulp.
+    EXPECT_NEAR(got[e], want[e], 1e-5) << "element " << e;
   }
 }
 
@@ -185,24 +124,20 @@ TEST(GemvTest, RowBiasMatchesPerRowCalls) {
   std::vector<double> x(static_cast<size_t>(m * k));
   for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
   const std::vector<int> bias_row = {0, 2, 1, 1, 0, 2};
-  for (Precision prec :
-       {Precision::kDouble, Precision::kBf16, Precision::kInt8}) {
-    const PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-    std::vector<float> got(static_cast<size_t>(m * n));
-    nn::infer::GemvForward(x.data(), k, p, bias.data(), bias_row.data(),
-                           got.data(), m, n);
-    for (int64_t i = 0; i < m; ++i) {
-      std::vector<float> row(static_cast<size_t>(n));
-      nn::infer::GemvForward(x.data() + i * k, k, p,
-                             bias.data() + bias_row[static_cast<size_t>(i)] * n,
-                             nullptr, row.data(), 1, n);
-      for (int64_t j = 0; j < n; ++j) {
-        // Bitwise: identical arithmetic per element, only the bias pointer
-        // plumbing differs.
-        EXPECT_EQ(got[static_cast<size_t>(i * n + j)],
-                  row[static_cast<size_t>(j)])
-            << nn::infer::PrecisionName(prec);
-      }
+  const PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k);
+  std::vector<float> got(static_cast<size_t>(m * n));
+  nn::infer::GemvForward(x.data(), k, p, bias.data(), bias_row.data(),
+                         got.data(), m, n);
+  for (int64_t i = 0; i < m; ++i) {
+    std::vector<float> row(static_cast<size_t>(n));
+    nn::infer::GemvForward(x.data() + i * k, k, p,
+                           bias.data() + bias_row[static_cast<size_t>(i)] * n,
+                           nullptr, row.data(), 1, n);
+    for (int64_t j = 0; j < n; ++j) {
+      // Bitwise: identical arithmetic per element, only the bias pointer
+      // plumbing differs.
+      EXPECT_EQ(got[static_cast<size_t>(i * n + j)],
+                row[static_cast<size_t>(j)]);
     }
   }
 }
@@ -213,36 +148,32 @@ TEST(GemvTest, BatchCompositionIsBitwiseInvariant) {
   nn::Tensor wt = nn::Tensor::Uniform({n, k}, -1.0, 1.0, &rng);
   std::vector<double> x(static_cast<size_t>(m * k));
   for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
-  for (Precision prec :
-       {Precision::kDouble, Precision::kBf16, Precision::kInt8}) {
-    const PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-    std::vector<float> batched(static_cast<size_t>(m * n));
-    nn::infer::GemvForward(x.data(), k, p, nullptr, nullptr, batched.data(),
-                           m, n);
-    for (int64_t i = 0; i < m; ++i) {
-      std::vector<float> single(static_cast<size_t>(n));
-      nn::infer::GemvForward(x.data() + i * k, k, p, nullptr, nullptr,
-                             single.data(), 1, n);
-      EXPECT_EQ(std::memcmp(batched.data() + i * n, single.data(),
-                            static_cast<size_t>(n) * sizeof(float)),
-                0)
-          << nn::infer::PrecisionName(prec) << " row " << i;
-    }
+  const PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k);
+  std::vector<float> batched(static_cast<size_t>(m * n));
+  nn::infer::GemvForward(x.data(), k, p, nullptr, nullptr, batched.data(), m,
+                         n);
+  for (int64_t i = 0; i < m; ++i) {
+    std::vector<float> single(static_cast<size_t>(n));
+    nn::infer::GemvForward(x.data() + i * k, k, p, nullptr, nullptr,
+                           single.data(), 1, n);
+    EXPECT_EQ(std::memcmp(batched.data() + i * n, single.data(),
+                          static_cast<size_t>(n) * sizeof(float)),
+              0)
+        << "row " << i;
   }
 }
 
 // -- Register-blocked GEMM (fast path round three) ---------------------------
 // BuildPanels() packs a K-major panel sidecar and batched (m > 1) calls then
-// route through the blocked micro-kernels. The blocking only reorders work
+// route through the blocked micro-kernel. The blocking only reorders work
 // ACROSS output elements — each element's accumulation sequence is exactly
 // the chunk kernel's — so results must be bitwise identical to the unpacked
-// chunk path for every precision, shape and batch composition.
+// chunk path for every shape and batch composition.
 
 TEST(GemmTest, BlockedMatchesChunkBitwiseAcrossShapes) {
   util::Rng rng(11);
-  // k = 43: K-tail for both the 8-wide double panels and the 16-wide
-  // reduced-precision panels. n = 23: odd NR=2 tail row. m sweeps partial
-  // and full micro-tile bands (MR = 4).
+  // k = 43: K-tail past the 8-wide panel blocks. n = 23: odd NR=2 tail row.
+  // m sweeps partial and full micro-tile bands (MR = 4).
   const int64_t k = 43, n = 23;
   nn::Tensor wt = nn::Tensor::Uniform({n, k}, -1.2, 1.2, &rng);
   nn::Tensor bias = nn::Tensor::Uniform({n}, -1.0, 1.0, &rng);
@@ -250,23 +181,20 @@ TEST(GemmTest, BlockedMatchesChunkBitwiseAcrossShapes) {
                     int64_t{16}, int64_t{33}}) {
     std::vector<double> x(static_cast<size_t>(m * k));
     for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
-    for (Precision prec :
-         {Precision::kDouble, Precision::kBf16, Precision::kInt8}) {
-      const PackedMatrix bare = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-      PackedMatrix blocked = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-      blocked.BuildPanels();
-      ASSERT_TRUE(blocked.has_panels());
-      std::vector<float> chunk(static_cast<size_t>(m * n));
-      std::vector<float> gemm(static_cast<size_t>(m * n));
-      nn::infer::GemvForward(x.data(), k, bare, bias.data(), nullptr,
-                             chunk.data(), m, n);
-      nn::infer::GemvForward(x.data(), k, blocked, bias.data(), nullptr,
-                             gemm.data(), m, n);
-      EXPECT_EQ(std::memcmp(chunk.data(), gemm.data(),
-                            chunk.size() * sizeof(float)),
-                0)
-          << nn::infer::PrecisionName(prec) << " m=" << m;
-    }
+    const PackedMatrix bare = PackedMatrix::Pack(wt.data(), n, k, k);
+    PackedMatrix blocked = PackedMatrix::Pack(wt.data(), n, k, k);
+    blocked.BuildPanels();
+    ASSERT_TRUE(blocked.has_panels());
+    std::vector<float> chunk(static_cast<size_t>(m * n));
+    std::vector<float> gemm(static_cast<size_t>(m * n));
+    nn::infer::GemvForward(x.data(), k, bare, bias.data(), nullptr,
+                           chunk.data(), m, n);
+    nn::infer::GemvForward(x.data(), k, blocked, bias.data(), nullptr,
+                           gemm.data(), m, n);
+    EXPECT_EQ(
+        std::memcmp(chunk.data(), gemm.data(), chunk.size() * sizeof(float)),
+        0)
+        << "m=" << m;
   }
 }
 
@@ -277,7 +205,7 @@ TEST(GemmTest, BlockedDoubleIsBitwiseLinearForward) {
   nn::Tensor bias = nn::Tensor::Uniform({n}, -1.0, 1.0, &rng);
   std::vector<double> x(static_cast<size_t>(m * k));
   for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
-  PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k, Precision::kDouble);
+  PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k);
   p.BuildPanels();
   std::vector<float> gemm(static_cast<size_t>(m * n));
   nn::infer::GemvForward(x.data(), k, p, bias.data(), nullptr, gemm.data(),
@@ -300,22 +228,17 @@ TEST(GemmTest, RowBiasBlockedMatchesChunkBitwise) {
   std::vector<double> x(static_cast<size_t>(m * k));
   for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
   const std::vector<int> bias_row = {0, 2, 1, 1, 0, 2, 1};
-  for (Precision prec :
-       {Precision::kDouble, Precision::kBf16, Precision::kInt8}) {
-    const PackedMatrix bare = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-    PackedMatrix blocked = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-    blocked.BuildPanels();
-    std::vector<float> chunk(static_cast<size_t>(m * n));
-    std::vector<float> gemm(static_cast<size_t>(m * n));
-    nn::infer::GemvForward(x.data(), k, bare, bias.data(), bias_row.data(),
-                           chunk.data(), m, n);
-    nn::infer::GemvForward(x.data(), k, blocked, bias.data(), bias_row.data(),
-                           gemm.data(), m, n);
-    EXPECT_EQ(
-        std::memcmp(chunk.data(), gemm.data(), chunk.size() * sizeof(float)),
-        0)
-        << nn::infer::PrecisionName(prec);
-  }
+  const PackedMatrix bare = PackedMatrix::Pack(wt.data(), n, k, k);
+  PackedMatrix blocked = PackedMatrix::Pack(wt.data(), n, k, k);
+  blocked.BuildPanels();
+  std::vector<float> chunk(static_cast<size_t>(m * n));
+  std::vector<float> gemm(static_cast<size_t>(m * n));
+  nn::infer::GemvForward(x.data(), k, bare, bias.data(), bias_row.data(),
+                         chunk.data(), m, n);
+  nn::infer::GemvForward(x.data(), k, blocked, bias.data(), bias_row.data(),
+                         gemm.data(), m, n);
+  EXPECT_EQ(
+      std::memcmp(chunk.data(), gemm.data(), chunk.size() * sizeof(float)), 0);
 }
 
 TEST(GemmTest, BatchCompositionThroughBlockedPath) {
@@ -324,24 +247,21 @@ TEST(GemmTest, BatchCompositionThroughBlockedPath) {
   nn::Tensor wt = nn::Tensor::Uniform({n, k}, -1.0, 1.0, &rng);
   std::vector<double> x(static_cast<size_t>(m * k));
   for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
-  for (Precision prec :
-       {Precision::kDouble, Precision::kBf16, Precision::kInt8}) {
-    PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-    p.BuildPanels();
-    std::vector<float> batched(static_cast<size_t>(m * n));
-    nn::infer::GemvForward(x.data(), k, p, nullptr, nullptr, batched.data(),
-                           m, n);
-    // Single rows take the chunk path (m == 1 never dispatches to the
-    // blocked kernels); a blocked batch must reproduce them bitwise.
-    for (int64_t i = 0; i < m; ++i) {
-      std::vector<float> single(static_cast<size_t>(n));
-      nn::infer::GemvForward(x.data() + i * k, k, p, nullptr, nullptr,
-                             single.data(), 1, n);
-      EXPECT_EQ(std::memcmp(batched.data() + i * n, single.data(),
-                            static_cast<size_t>(n) * sizeof(float)),
-                0)
-          << nn::infer::PrecisionName(prec) << " row " << i;
-    }
+  PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k);
+  p.BuildPanels();
+  std::vector<float> batched(static_cast<size_t>(m * n));
+  nn::infer::GemvForward(x.data(), k, p, nullptr, nullptr, batched.data(), m,
+                         n);
+  // Single rows take the chunk path (m == 1 never dispatches to the
+  // blocked kernel); a blocked batch must reproduce them bitwise.
+  for (int64_t i = 0; i < m; ++i) {
+    std::vector<float> single(static_cast<size_t>(n));
+    nn::infer::GemvForward(x.data() + i * k, k, p, nullptr, nullptr,
+                           single.data(), 1, n);
+    EXPECT_EQ(std::memcmp(batched.data() + i * n, single.data(),
+                          static_cast<size_t>(n) * sizeof(float)),
+              0)
+        << "row " << i;
   }
 }
 
@@ -360,10 +280,8 @@ TEST(GemmTest, BlockedMatchesChunkBitwiseAtServedShapes) {
     nn::Tensor wt = nn::Tensor::Uniform({n, k}, -1.0, 1.0, &rng);
     for (int64_t j = 0; j < n; ++j) wt.at(j, 4) = -wt.at(j, 0);
     nn::Tensor bias = nn::Tensor::Uniform({n}, -1.0, 1.0, &rng);
-    const PackedMatrix bare =
-        PackedMatrix::Pack(wt.data(), n, k, k, Precision::kDouble);
-    PackedMatrix blocked =
-        PackedMatrix::Pack(wt.data(), n, k, k, Precision::kDouble);
+    const PackedMatrix bare = PackedMatrix::Pack(wt.data(), n, k, k);
+    PackedMatrix blocked = PackedMatrix::Pack(wt.data(), n, k, k);
     blocked.BuildPanels();
     for (const int64_t m : {int64_t{4}, int64_t{28}, int64_t{30},
                             int64_t{32}}) {
@@ -604,127 +522,57 @@ TEST(GemmTest, PanelPackingRoundTrip) {
   util::Rng rng(15);
   const int64_t k = 40, n = 22;
   nn::Tensor wt = nn::Tensor::Uniform({n, k}, -1.0, 1.0, &rng);
-  for (Precision prec :
-       {Precision::kDouble, Precision::kBf16, Precision::kInt8}) {
-    PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-    const PackedMatrix flat = PackedMatrix::Pack(wt.data(), n, k, k, prec);
-    p.BuildPanels();
-    p.BuildPanels();  // idempotent
-    ASSERT_TRUE(p.has_panels());
-    const int64_t bw = p.PanelBlock();
-    const int64_t np = n / nn::infer::kGemmNr;
-    const int64_t kb = k / bw;
-    // panel[pn][b][r][lane] holds row-major element
-    // (pn * kGemmNr + r, b * bw + lane).
-    for (int64_t pn = 0; pn < np; ++pn) {
-      for (int64_t b = 0; b < kb; ++b) {
-        for (int64_t r = 0; r < nn::infer::kGemmNr; ++r) {
-          for (int64_t lane = 0; lane < bw; ++lane) {
-            const size_t pe = static_cast<size_t>(
-                ((pn * kb + b) * nn::infer::kGemmNr + r) * bw + lane);
-            const size_t fe = static_cast<size_t>(
-                (pn * nn::infer::kGemmNr + r) * k + b * bw + lane);
-            switch (prec) {
-              case Precision::kDouble:
-                EXPECT_EQ(p.pd[pe], flat.d[fe]);
-                break;
-              case Precision::kBf16:
-                EXPECT_EQ(p.ph[pe], flat.h[fe]);
-                break;
-              case Precision::kInt8:
-                EXPECT_EQ(p.pq[pe], flat.q[fe]);
-                break;
-            }
-          }
+  PackedMatrix p = PackedMatrix::Pack(wt.data(), n, k, k);
+  p.BuildPanels();
+  p.BuildPanels();  // idempotent
+  ASSERT_TRUE(p.has_panels());
+  const int64_t bw = 8;  // doubles per K block
+  const int64_t np = n / nn::infer::kGemmNr;
+  const int64_t kb = k / bw;
+  EXPECT_EQ(p.PanelBytes(),
+            static_cast<size_t>(np * kb * nn::infer::kGemmNr * bw) *
+                sizeof(double));
+  // pd[pn][b][r][lane] holds row-major element
+  // (pn * kGemmNr + r, b * bw + lane).
+  for (int64_t pn = 0; pn < np; ++pn) {
+    for (int64_t b = 0; b < kb; ++b) {
+      for (int64_t r = 0; r < nn::infer::kGemmNr; ++r) {
+        for (int64_t lane = 0; lane < bw; ++lane) {
+          const size_t pe = static_cast<size_t>(
+              ((pn * kb + b) * nn::infer::kGemmNr + r) * bw + lane);
+          const size_t fe = static_cast<size_t>(
+              (pn * nn::infer::kGemmNr + r) * k + b * bw + lane);
+          EXPECT_EQ(p.pd[pe], p.d[fe]);
         }
       }
     }
   }
 }
 
-// End-to-end accuracy parity: the reduced precisions must track the double
-// path on route likelihoods and teacher-forced top-1 decisions. Tolerances
-// mirror the check_perf gates (bf16 well inside 1e-3 per transition, int8
-// inside 5e-3).
-TEST(PrecisionParityTest, ReducedPrecisionTracksDouble) {
-  auto& world = TestWorld();
-  const auto trips = TestTrips(6);
-  ASSERT_GE(trips.size(), 3u);
-  DeepSTConfig base = MemoConfig();
-  DeepSTModel ref(world.net(), base, nullptr);
-  const std::vector<nn::NamedTensor> snapshot = nn::SnapshotParameters(ref);
-
-  struct Spec {
-    Precision prec;
-    double ce_tol;       // per-transition log-lik delta
-    double min_agree;    // top-1 agreement fraction
-  };
-  for (const Spec& spec : {Spec{Precision::kBf16, 1e-3, 0.99},
-                           Spec{Precision::kInt8, 5e-3, 0.95}}) {
-    DeepSTConfig cfg = base;
-    cfg.infer_precision = spec.prec;
-    auto model = DeepSTModel::LoadFromParams(world.net(), cfg, nullptr,
-                                             snapshot);
-    ASSERT_TRUE(model.ok());
-    int64_t agree = 0, total = 0;
-    util::Rng rng_a(31), rng_b(31);
-    for (const auto* rec : trips) {
-      const RouteQuery query = eval::QueryFor(rec->trip);
-      PredictionContext rctx = ref.MakeContext(query, &rng_a);
-      PredictionContext qctx = model.value()->MakeContext(query, &rng_b);
-      const int64_t transitions =
-          static_cast<int64_t>(rec->trip.route.size()) - 1;
-      EXPECT_NEAR(model.value()->ScoreRoute(qctx, rec->trip.route),
-                  ref.ScoreRoute(rctx, rec->trip.route),
-                  spec.ce_tol * static_cast<double>(transitions))
-          << nn::infer::PrecisionName(spec.prec);
-      const std::vector<int> want = ref.TopSlotsAlongRoute(rctx,
-                                                           rec->trip.route);
-      const std::vector<int> got =
-          model.value()->TopSlotsAlongRoute(qctx, rec->trip.route);
-      ASSERT_EQ(want.size(), got.size());
-      for (size_t i = 0; i < want.size(); ++i) {
-        agree += want[i] == got[i] ? 1 : 0;
-      }
-      total += static_cast<int64_t>(want.size());
-    }
-    EXPECT_GE(static_cast<double>(agree),
-              spec.min_agree * static_cast<double>(total))
-        << nn::infer::PrecisionName(spec.prec) << ": " << agree << "/"
-        << total;
-  }
-}
-
 // Packed weights are built once per model generation and shared (pointer
-// identity) across calls; packed_weight_bytes reflects the precision.
-TEST(SharedWeightsTest, PackedOncePerGenerationAndShrinkWithPrecision) {
+// identity) across calls, and the default config's weights carry GEMM
+// panels on alpha and on every GRU matrix, so batched steps run the
+// blocked kernel.
+TEST(SharedWeightsTest, PackedOncePerGenerationWithPanels) {
   auto& world = TestWorld();
-  DeepSTConfig base = MemoConfig();
-  DeepSTModel model(world.net(), base, nullptr);
+  DeepSTModel model(world.net(), DeepSTConfig(), world.traffic_cache());
   const auto first = model.shared_infer_weights();
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first.get(), model.shared_infer_weights().get());
   model.RetirePooledSessions();
   EXPECT_NE(first.get(), model.shared_infer_weights().get());
 
-  const std::vector<nn::NamedTensor> snapshot = nn::SnapshotParameters(model);
-  size_t bytes[3];
-  int idx = 0;
-  for (Precision prec :
-       {Precision::kDouble, Precision::kBf16, Precision::kInt8}) {
-    DeepSTConfig cfg = base;
-    cfg.infer_precision = prec;
-    auto m = DeepSTModel::LoadFromParams(world.net(), cfg, nullptr, snapshot);
-    ASSERT_TRUE(m.ok());
-    const auto packed = m.value()->shared_infer_weights();
-    EXPECT_EQ(packed->precision, prec);
-    bytes[idx++] = packed->packed_weight_bytes;
+  const auto packed = model.shared_infer_weights();
+  EXPECT_TRUE(packed->alpha_w.has_panels());
+  ASSERT_FALSE(packed->gru.cells.empty());
+  size_t panel_bytes = packed->alpha_w.PanelBytes();
+  for (const nn::infer::GruCellView& cell : packed->gru.cells) {
+    EXPECT_TRUE(cell.w_ih.has_panels());
+    EXPECT_TRUE(cell.w_hh.has_panels());
+    panel_bytes += cell.w_ih.PanelBytes() + cell.w_hh.PanelBytes();
   }
-  // packed_weight_bytes includes the always-double context columns and
-  // embedding table, so the ratios are weaker than 4x/8x — but the ordering
-  // must hold strictly.
-  EXPECT_LT(bytes[1], bytes[0]);  // bf16 < double
-  EXPECT_LT(bytes[2], bytes[1]);  // int8 < bf16
+  EXPECT_GT(packed->packed_panel_bytes, 0u);
+  EXPECT_EQ(packed->packed_panel_bytes, panel_bytes);
 }
 
 // -- Transition memo -----------------------------------------------------------
@@ -857,8 +705,7 @@ TEST(MemoCacheTest, EvictionKeepsServingCorrectValues) {
 }
 
 // Memoized prediction must be bitwise identical to the memo-off model, on
-// both cold and warm (cache-hit) calls, for greedy, beam, and the
-// cross-query batched entry point — at double and reduced precision.
+// both cold and warm (cache-hit) calls, for greedy and beam.
 TEST(MemoParityTest, PredictionIsBitwiseIdenticalWithMemo) {
   auto& world = TestWorld();
   const auto trips = TestTrips(5);
@@ -867,45 +714,38 @@ TEST(MemoParityTest, PredictionIsBitwiseIdenticalWithMemo) {
   const std::vector<nn::NamedTensor> snapshot =
       nn::SnapshotParameters(ref_model);
 
-  for (Precision prec : {Precision::kDouble, Precision::kBf16}) {
-    for (int beam_width : {1, base.beam_width}) {
-      DeepSTConfig off = base;
-      off.infer_precision = prec;
-      off.beam_width = beam_width;
-      off.memo_cache_capacity = 0;
-      DeepSTConfig on = off;
-      on.memo_cache_capacity = 4096;
-      auto m_off =
-          DeepSTModel::LoadFromParams(world.net(), off, nullptr, snapshot);
-      auto m_on =
-          DeepSTModel::LoadFromParams(world.net(), on, nullptr, snapshot);
-      ASSERT_TRUE(m_off.ok() && m_on.ok());
-      EXPECT_EQ(m_off.value()->transition_memo(), nullptr);
-      ASSERT_NE(m_on.value()->transition_memo(), nullptr);
-      util::Rng rng_a(41), rng_b(41);
-      for (const auto* rec : trips) {
-        const RouteQuery query = eval::QueryFor(rec->trip);
-        PredictionContext ctx_off =
-            m_off.value()->MakeContext(query, &rng_a);
-        PredictionContext ctx_on = m_on.value()->MakeContext(query, &rng_b);
-        util::Rng r1(1), r2(1), r3(1);
-        const traj::Route want =
-            m_off.value()->PredictRoute(ctx_off, query.origin, &r1);
-        // Cold pass fills the cache, warm pass replays it; both must equal
-        // the memo-off route exactly.
-        const traj::Route cold =
-            m_on.value()->PredictRoute(ctx_on, query.origin, &r2);
-        const traj::Route warm =
-            m_on.value()->PredictRoute(ctx_on, query.origin, &r3);
-        EXPECT_EQ(want, cold) << "prec=" << nn::infer::PrecisionName(prec)
-                              << " width=" << beam_width;
-        EXPECT_EQ(want, warm);
-      }
-      const auto st = m_on.value()->transition_memo_stats();
-      EXPECT_GT(st.lookups, 0);
-      EXPECT_GT(st.hits, 0);  // the warm passes must actually hit
-      EXPECT_EQ(st.hits + st.misses, st.lookups);
+  for (int beam_width : {1, base.beam_width}) {
+    DeepSTConfig off = base;
+    off.beam_width = beam_width;
+    off.memo_cache_capacity = 0;
+    DeepSTConfig on = off;
+    on.memo_cache_capacity = 4096;
+    auto m_off = DeepSTModel::LoadFromParams(world.net(), off, nullptr, snapshot);
+    auto m_on = DeepSTModel::LoadFromParams(world.net(), on, nullptr, snapshot);
+    ASSERT_TRUE(m_off.ok() && m_on.ok());
+    EXPECT_EQ(m_off.value()->transition_memo(), nullptr);
+    ASSERT_NE(m_on.value()->transition_memo(), nullptr);
+    util::Rng rng_a(41), rng_b(41);
+    for (const auto* rec : trips) {
+      const RouteQuery query = eval::QueryFor(rec->trip);
+      PredictionContext ctx_off = m_off.value()->MakeContext(query, &rng_a);
+      PredictionContext ctx_on = m_on.value()->MakeContext(query, &rng_b);
+      util::Rng r1(1), r2(1), r3(1);
+      const traj::Route want =
+          m_off.value()->PredictRoute(ctx_off, query.origin, &r1);
+      // Cold pass fills the cache, warm pass replays it; both must equal
+      // the memo-off route exactly.
+      const traj::Route cold =
+          m_on.value()->PredictRoute(ctx_on, query.origin, &r2);
+      const traj::Route warm =
+          m_on.value()->PredictRoute(ctx_on, query.origin, &r3);
+      EXPECT_EQ(want, cold) << "width=" << beam_width;
+      EXPECT_EQ(want, warm);
     }
+    const auto st = m_on.value()->transition_memo_stats();
+    EXPECT_GT(st.lookups, 0);
+    EXPECT_GT(st.hits, 0);  // the warm passes must actually hit
+    EXPECT_EQ(st.hits + st.misses, st.lookups);
   }
 }
 

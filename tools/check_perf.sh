@@ -3,7 +3,7 @@
 # data-parallel training engine's speedup + determinism.
 #
 #   tools/check_perf.sh [build-dir] [min-speedup] [min-train-speedup]
-#       [min-scale-speedup] [min-serve-speedup] [min-quant-speedup]
+#       [min-scale-speedup] [min-serve-speedup] [min-memo-speedup]
 #       [min-gemm-speedup] [max-ingest-p99-ratio]
 #
 # Inference: builds bench_micro + inference_test, runs the inference sweep
@@ -38,21 +38,19 @@
 # max-ingest-p99-ratio (default 1.5) of the static 4-worker p99 — swaps
 # must never stall serving.
 #
-# Quantization + memoization: runs the quant sweep (BM_QuantSweep ->
-# BENCH_quant.json; bf16/int8 GEMV kernels and the transition memo against
-# the double fast path on a hot-query beam workload). Always asserts the
-# accuracy-parity floors (bf16 top-1 agreement >= 0.99 with mean
-# log-likelihood delta <= 1e-3 per transition; int8 >= 0.95 / <= 5e-3) and
-# a steady-state memo hit rate >= 0.5; on AVX2 hardware (where the vector
-# kernels actually dispatch) also asserts the memoized quantized variants
-# beat the unmemoized double fast path by min-quant-speedup (default 2.0).
+# Transition memo: runs the memo sweep (BM_MemoSweep -> BENCH_memo.json; a
+# hot-query beam workload with the memo off and on). Always asserts a
+# steady-state memo hit rate >= 0.5; on AVX2 hardware (where the vector
+# kernels actually dispatch) also asserts the memoized run beats the
+# unmemoized one by min-memo-speedup (default 2.0).
 #
 # GEMM blocking: runs the GEMM sweep (BM_GemmSweep -> BENCH_gemm.json; the
-# register-blocked panel kernels against the round-two chunk kernels, plus
-# the memo-cold batched beam workload with config.gemm_blocking off vs on).
+# register-blocked panel kernel against the chunk kernel at each shape).
 # Always asserts every row's bitwise_equal field (the blocking must never
-# change a result, at any precision); on AVX2 hardware also asserts the
-# batched-beam double speedup is at least min-gemm-speedup (default 1.5).
+# change a result); on AVX2 hardware also asserts the blocked speedup is at
+# least min-gemm-speedup (default 1.5) at each served batched GRU-step
+# shape, gemm_double_m{28,32}_k{32,64}. The H = 128 rows are reported, not
+# gated: the default model (H = 64, embedding 32) does not run them.
 #
 # Proxy logits: runs BM_ProxyLogits (-> BENCH_proxy.json; the proxy
 # encoder's output layer through ops::Linear vs the output-major row kernel
@@ -77,7 +75,7 @@ MIN_SPEEDUP="${2:-3.0}"
 MIN_TRAIN_SPEEDUP="${3:-1.8}"
 MIN_SCALE_SPEEDUP="${4:-5.0}"
 MIN_SERVE_SPEEDUP="${5:-2.0}"
-MIN_QUANT_SPEEDUP="${6:-2.0}"
+MIN_MEMO_SPEEDUP="${6:-2.0}"
 MIN_GEMM_SPEEDUP="${7:-1.5}"
 MAX_INGEST_P99_RATIO="${8:-1.5}"
 
@@ -251,41 +249,20 @@ serving_gates() {
 }
 serving_gates
 
-echo "== quant sweep (bf16/int8 kernels + transition memo vs double) =="
-quant_gates() {
-  (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_QuantSweep') ||
-    fail "BM_QuantSweep exited nonzero"
+echo "== memo sweep (hot-query beam, transition memo off vs on) =="
+memo_gates() {
+  (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_MemoSweep') ||
+    fail "BM_MemoSweep exited nonzero"
 
-  local QUANT_JSON="$BUILD_DIR/bench_out/BENCH_quant.json"
-  [[ -f "$QUANT_JSON" ]] || { fail "$QUANT_JSON not written"; return; }
-
-  # Accuracy-parity floors run on every machine: a reduced precision that
-  # drifts from the double path is wrong regardless of how fast it is. The
-  # floors leave generous margin over measured behavior (top-1 agreement
-  # 1.00, deltas <= 1e-4 on the micro model) while catching packing or
-  # kernel regressions an order of magnitude before they reach eval metrics.
-  local spec variant min_top1 max_ce top1 ce ok hit speedup
-  for spec in "bf16_memo 0.99 0.001" "int8_memo 0.95 0.005"; do
-    read -r variant min_top1 max_ce <<< "$spec"
-    top1=$(jq -r --arg v "$variant" \
-      '.[] | select(.variant == $v) | .top1_agreement' "$QUANT_JSON")
-    ce=$(jq -r --arg v "$variant" \
-      '.[] | select(.variant == $v) | .ce_delta_per_transition' "$QUANT_JSON")
-    ok=$(jq -n --argjson t "$top1" --argjson c "$ce" \
-         --argjson mt "$min_top1" --argjson mc "$max_ce" \
-         '($t >= $mt) and ($c <= $mc)')
-    if [[ "$ok" != "true" ]]; then
-      fail "$variant accuracy parity (top-1 ${top1} vs >= ${min_top1}, ce delta ${ce} vs <= ${max_ce})"
-    else
-      echo "OK: $variant accuracy parity (top-1 ${top1}, ce delta ${ce}/transition)"
-    fi
-  done
+  local MEMO_JSON="$BUILD_DIR/bench_out/BENCH_memo.json"
+  [[ -f "$MEMO_JSON" ]] || { fail "$MEMO_JSON not written"; return; }
 
   # The memo must actually be absorbing the hot-query workload; 0.5 is far
   # below the measured steady state (~0.99) but rules out a cache that
   # silently stopped hitting (bad keys, over-invalidation).
+  local hit ok speedup
   hit=$(jq -r '.[] | select(.variant == "double_memo") | .steady_hit_rate' \
-    "$QUANT_JSON")
+    "$MEMO_JSON")
   ok=$(jq -n --argjson h "$hit" '$h >= 0.5')
   if [[ "$ok" != "true" ]]; then
     fail "transition memo steady-state hit rate ${hit} < 0.5"
@@ -293,33 +270,27 @@ quant_gates() {
     echo "OK: transition memo steady-state hit rate ${hit} >= 0.5"
   fi
 
-  # Throughput gate: the memoized quantized fast path must beat the current
-  # (unmemoized double) fast path. Vector-ISA-dependent, so like the other
-  # hardware gates it reports instead of failing where the kernels cannot
-  # dispatch past the scalar clone.
+  # Throughput gate: the memoized fast path must beat the unmemoized one.
+  # Vector-ISA-dependent, so like the other hardware gates it reports
+  # instead of failing where the kernels cannot dispatch past the scalar
+  # clone.
+  speedup=$(jq -r '.[] | select(.variant == "double_memo") | .speedup_vs_nomemo' \
+    "$MEMO_JSON")
   if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-    for variant in bf16_memo int8_memo; do
-      speedup=$(jq -r --arg v "$variant" \
-        '.[] | select(.variant == $v) | .speedup_vs_double' "$QUANT_JSON")
-      ok=$(jq -n --argjson s "$speedup" --argjson min "$MIN_QUANT_SPEEDUP" \
-           '$s >= $min')
-      if [[ "$ok" != "true" ]]; then
-        fail "$variant beam workload speedup ${speedup}x < ${MIN_QUANT_SPEEDUP}x"
-      else
-        echo "OK: $variant beam workload speedup ${speedup}x >= ${MIN_QUANT_SPEEDUP}x"
-      fi
-    done
+    ok=$(jq -n --argjson s "$speedup" --argjson min "$MIN_MEMO_SPEEDUP" \
+         '$s >= $min')
+    if [[ "$ok" != "true" ]]; then
+      fail "memoized beam workload speedup ${speedup}x < ${MIN_MEMO_SPEEDUP}x"
+    else
+      echo "OK: memoized beam workload speedup ${speedup}x >= ${MIN_MEMO_SPEEDUP}x"
+    fi
   else
-    for variant in bf16_memo int8_memo; do
-      speedup=$(jq -r --arg v "$variant" \
-        '.[] | select(.variant == $v) | .speedup_vs_double' "$QUANT_JSON")
-      echo "SKIP: $variant speedup gate (no avx2; measured ${speedup}x)"
-    done
+    echo "SKIP: memo speedup gate (no avx2; measured ${speedup}x)"
   fi
 }
-quant_gates
+memo_gates
 
-echo "== gemm sweep (register-blocked kernels vs chunk, beam blocking off/on) =="
+echo "== gemm sweep (register-blocked kernel vs chunk) =="
 gemm_gates() {
   (cd "$BUILD_DIR" && bench/bench_micro --benchmark_filter='BM_GemmSweep') ||
     fail "BM_GemmSweep exited nonzero"
@@ -328,9 +299,9 @@ gemm_gates() {
   [[ -f "$GEMM_JSON" ]] || { fail "$GEMM_JSON not written"; return; }
 
   # Bitwise floor runs on every machine: blocking reorders work across output
-  # elements only, so every kernel row (all precisions) and the end-to-end
-  # beam routes must match the unblocked path bit for bit.
-  local not_bitwise gemm_speedup ok
+  # elements only, so every kernel row must match the unblocked path bit for
+  # bit.
+  local not_bitwise variant gemm_speedup ok
   not_bitwise=$(jq -r '[.[] | select(.bitwise_equal != true) | .variant] | join(", ")' \
     "$GEMM_JSON")
   if [[ -n "$not_bitwise" ]]; then
@@ -339,21 +310,26 @@ gemm_gates() {
     echo "OK: blocked GEMM bitwise identical to the unblocked path (all variants)"
   fi
 
-  # Throughput gate: hardware-dependent like the other vector-ISA gates.
-  gemm_speedup=$(jq -r \
-    '.[] | select(.variant == "beam_multi_double") | .speedup_vs_unblocked' \
-    "$GEMM_JSON")
-  if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-    ok=$(jq -n --argjson s "$gemm_speedup" --argjson min "$MIN_GEMM_SPEEDUP" \
-         '$s >= $min')
-    if [[ "$ok" != "true" ]]; then
-      fail "memo-cold batched beam speedup ${gemm_speedup}x < ${MIN_GEMM_SPEEDUP}x"
+  # Throughput gate at the batched GRU-step shapes the served models run;
+  # hardware-dependent like the other vector-ISA gates.
+  for variant in gemm_double_m28_k32 gemm_double_m32_k32 \
+                 gemm_double_m28_k64 gemm_double_m32_k64; do
+    gemm_speedup=$(jq -r --arg v "$variant" \
+      '.[] | select(.variant == $v) | .speedup_vs_unblocked' "$GEMM_JSON")
+    if [[ -z "$gemm_speedup" ]]; then
+      fail "$variant missing from $GEMM_JSON"
+    elif grep -q avx2 /proc/cpuinfo 2>/dev/null; then
+      ok=$(jq -n --argjson s "$gemm_speedup" --argjson min "$MIN_GEMM_SPEEDUP" \
+           '$s >= $min')
+      if [[ "$ok" != "true" ]]; then
+        fail "$variant blocked speedup ${gemm_speedup}x < ${MIN_GEMM_SPEEDUP}x"
+      else
+        echo "OK: $variant blocked speedup ${gemm_speedup}x >= ${MIN_GEMM_SPEEDUP}x"
+      fi
     else
-      echo "OK: memo-cold batched beam speedup ${gemm_speedup}x >= ${MIN_GEMM_SPEEDUP}x"
+      echo "SKIP: $variant speedup gate (no avx2; measured ${gemm_speedup}x)"
     fi
-  else
-    echo "SKIP: gemm speedup gate (no avx2; measured ${gemm_speedup}x)"
-  fi
+  done
 }
 gemm_gates
 
