@@ -292,20 +292,26 @@ void BM_PredictRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictRoute);
 
-void BM_PredictRouteBeam(benchmark::State& state) {
+// The beam alone on a built context: a one-item PredictRoutesBeamMulti, as
+// the serving layer runs a lone predict.
+void BM_BeamOneItem(benchmark::State& state) {
   auto& world = MicroWorld();
   auto& model = MicroModel();
   util::Rng rng(6);
   const auto* rec = world.split().test.front();
   core::RouteQuery query = eval::QueryFor(rec->trip);
   core::PredictionContext ctx = model.MakeContext(query, &rng);
+  std::vector<core::PredictItem> one(1);
+  one[0].ctx = &ctx;
+  one[0].origin = query.origin;
   for (auto _ : state) {
     util::Rng step_rng(7);
-    benchmark::DoNotOptimize(
-        model.PredictRouteBeam(ctx, query.origin, &step_rng));
+    model.PredictRoutesBeamMulti(&one, &step_rng);
+    benchmark::DoNotOptimize(one[0].route.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_PredictRouteBeam);
+BENCHMARK(BM_BeamOneItem);
 
 // Context build with and without the traffic posterior memo (arg 1 / 0):
 // on a hit MakeContext skips the traffic CNN and runs only the proxy MLP,
@@ -618,6 +624,9 @@ void BM_InferenceSweep(benchmark::State& state) {
   const core::PredictionContext score_ctx =
       model.MakeContext(score_query, &rng);
   const core::PredictionContext pred_ctx = model.MakeContext(pred_query, &rng);
+  std::vector<core::PredictItem> pred_item(1);
+  pred_item[0].ctx = &pred_ctx;
+  pred_item[0].origin = pred_query.origin;
 
   const int reps = eval::FastMode() ? 10 : 30;
   auto time_best = [reps](const std::function<void()>& fn) {
@@ -652,11 +661,16 @@ void BM_InferenceSweep(benchmark::State& state) {
                         })});
         rows.push_back({engine, "predict_route", threads, time_best([&] {
                           util::Rng r(7);
-                          benchmark::DoNotOptimize(
-                              graph ? model.PredictRouteBeamReference(
-                                          pred_ctx, pred_query.origin, &r)
-                                    : model.PredictRouteBeam(
-                                          pred_ctx, pred_query.origin, &r));
+                          if (graph) {
+                            benchmark::DoNotOptimize(
+                                model.PredictRouteBeamReference(
+                                    pred_ctx, pred_query.origin, &r));
+                          } else {
+                            model.PredictRoutesBeamMulti(&pred_item, &r);
+                            benchmark::DoNotOptimize(
+                                pred_item[0].route.data());
+                            benchmark::ClobberMemory();
+                          }
                         })});
       }
     }
@@ -772,11 +786,15 @@ void BM_MemoSweep(benchmark::State& state) {
       for (const core::RouteQuery& q : queries) {
         ctxs.push_back(model.MakeContext(q, &crng));
       }
+      std::vector<core::PredictItem> one(1);
       auto replay = [&] {
         for (size_t q = 0; q < queries.size(); ++q) {
           util::Rng r(7);
-          benchmark::DoNotOptimize(
-              model.PredictRouteBeam(ctxs[q], queries[q].origin, &r));
+          one[0].ctx = &ctxs[q];
+          one[0].origin = queries[q].origin;
+          model.PredictRoutesBeamMulti(&one, &r);
+          benchmark::DoNotOptimize(one[0].route.data());
+          benchmark::ClobberMemory();
         }
       };
       Row row;

@@ -447,8 +447,8 @@ int PredictBatch(const LoadedData& data, core::ServingContext* serving,
     std::printf("trip %4zu: truth %2zu predicted %2zu accuracy %.3f%s%s\n",
                 idx, rec->trip.route.size(), route.size(),
                 eval::Accuracy(rec->trip.route, route),
-                result.value().degraded ? " degraded: " : "",
-                result.value().degraded
+                result.value().degraded() ? " degraded: " : "",
+                result.value().degraded()
                     ? core::DegradationsToString(result.value().degradations)
                           .c_str()
                     : "");
@@ -499,7 +499,7 @@ int CmdPredict(const util::Flags& flags) {
   for (auto s : route) std::printf(" %d", s);
   std::printf("\naccuracy: %.3f\n",
               eval::Accuracy(rec->trip.route, route));
-  if (result.value().degraded) {
+  if (result.value().degraded()) {
     std::printf("degraded: %s\n",
                 core::DegradationsToString(result.value().degradations)
                     .c_str());
@@ -684,7 +684,7 @@ void PrintServeResult(int64_t id,
   }
   if (res.what_if) line += " what_if=1";
   line += util::StrFormat(" latency_ms=%.3f", res.latency_ms);
-  if (res.degraded) {
+  if (res.degraded()) {
     line += " degraded=" + core::DegradationsToString(res.degradations);
   }
   std::printf("%s\n", line.c_str());

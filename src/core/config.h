@@ -73,7 +73,9 @@ struct DeepSTConfig {
   int max_route_steps = 80;
   // Width of the beam search used to return the highest-likelihood route
   // (Section IV-D: "in the prediction stage only the one with the highest
-  // likelihood score will be returned"). 1 = greedy.
+  // likelihood score will be returned"). ServingContext runs the beam at
+  // every width; at 1, DeepSTModel::PredictRoute runs a greedy step loop
+  // instead, which differs from the width-1 beam only on tied slots.
   int beam_width = 4;
   // Use posterior means / modes for latents at prediction (deterministic);
   // when false, sample as in Algorithm 2.

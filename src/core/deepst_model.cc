@@ -958,15 +958,6 @@ traj::Route DeepSTModel::PredictRoute(const PredictionContext& ctx,
   return session->PredictRoute(ctx, origin, rng);
 }
 
-traj::Route DeepSTModel::PredictRouteBeam(const PredictionContext& ctx,
-                                          SegmentId origin, util::Rng* rng,
-                                          double deadline_ms,
-                                          bool* budget_hit) {
-  SessionLease session(this);
-  util::ThrowIfFaultPoint("infer.query");
-  return session->PredictRouteBeam(ctx, origin, rng, deadline_ms, budget_hit);
-}
-
 double DeepSTModel::ScoreRoute(const PredictionContext& ctx,
                                const traj::Route& route) {
   SessionLease session(this);
@@ -1000,17 +991,20 @@ void DeepSTModel::PredictRoutesBeamMulti(std::vector<PredictItem>* items,
   if (items->empty()) return;
   SessionLease session(this);
   util::ThrowIfFaultPoint("infer.query");
-  if (!config_.sample_stop) {
-    // The beam draws nothing (map_prediction only selects how PredictRoute
-    // generates), so every item steps in one lock-step batch.
+  if (!config_.sample_stop || items->size() == 1) {
+    // Without sample_stop the beam draws nothing (map_prediction only
+    // selects how PredictRoute generates), so every item steps in one
+    // lock-step batch.
     session->PredictRoutesBeamMulti(items, rng);
     return;
   }
   // Sampled stops draw from the shared rng in each query's beam order: one
   // item at a time keeps the draws in that order.
+  std::vector<PredictItem> one(1);
   for (PredictItem& item : *items) {
-    item.route = session->PredictRouteBeam(*item.ctx, item.origin, rng,
-                                           item.deadline_ms, &item.budget_hit);
+    std::swap(item, one[0]);
+    session->PredictRoutesBeamMulti(&one, rng);
+    std::swap(item, one[0]);
   }
 }
 

@@ -164,18 +164,12 @@ class DeepSTModel : public nn::Module {
   PredictionContext MakeContext(const RouteQuery& query, util::Rng* rng,
                                 const ContextOptions& options);
   // Most-likely-route generation: beam search of config.beam_width when
-  // map_prediction (greedy when beam_width == 1), sampled per Algorithm 2
-  // otherwise.
+  // map_prediction (a greedy step loop when beam_width == 1), sampled per
+  // Algorithm 2 otherwise. ServingContext runs the beam at every width
+  // (PredictRoutesBeamMulti); greedy and a width-1 beam differ only where
+  // two valid slots tie (docs/inference.md).
   traj::Route PredictRoute(const PredictionContext& ctx,
                            roadnet::SegmentId origin, util::Rng* rng);
-  // Explicit beam-search variant. A positive `deadline_ms` caps wall time:
-  // the search always completes at least one expansion step, checks the
-  // clock between steps, and returns the best hypothesis so far when the
-  // budget runs out (setting *budget_hit when provided).
-  traj::Route PredictRouteBeam(const PredictionContext& ctx,
-                               roadnet::SegmentId origin, util::Rng* rng,
-                               double deadline_ms = 0.0,
-                               bool* budget_hit = nullptr);
   traj::Route PredictRoute(const RouteQuery& query, util::Rng* rng);
 
   // -- Route likelihood score (Section IV-E) -------------------------------------
@@ -205,11 +199,14 @@ class DeepSTModel : public nn::Module {
       const std::vector<traj::Route>& candidates);
 
   // -- Cross-query batched entry points (serve scheduler) ------------------------
-  // Run every item through ONE leased session, as one padded batch except
-  // under sample_stop, the only config whose beam draws from `rng`: there
-  // the items run one at a time on it, making the draws of one
-  // PredictRouteBeam call per item in order. Each item's result is bitwise
-  // identical to the corresponding single-query call.
+  // Run every item through ONE leased session: the beam of beam_width (1
+  // included) as one lock-step batch, or item by item on `rng` under
+  // sample_stop, whose stops draw from it (`rng` must then be non-null).
+  // A positive item deadline caps wall time: the search always completes
+  // at least one expansion step, checks the clock between steps, and
+  // returns the best hypothesis so far when the budget runs out (setting
+  // the item's budget_hit). Each item's result is bitwise identical to a
+  // one-item call.
   void PredictRoutesBeamMulti(std::vector<PredictItem>* items,
                               util::Rng* rng = nullptr);
   void ScoreRoutesMulti(std::vector<ScoreItem>* items);

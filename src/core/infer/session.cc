@@ -291,7 +291,12 @@ traj::Route InferenceSession::PredictRoute(const PredictionContext& ctx,
                                            SegmentId origin, util::Rng* rng) {
   DEEPST_CHECK(origin >= 0 && origin < net_.num_segments());
   if (config_.map_prediction && config_.beam_width > 1) {
-    return PredictRouteBeam(ctx, origin, rng);
+    PredictItem& item = one_predict_[0];
+    item.ctx = &ctx;
+    item.origin = origin;
+    item.deadline_ms = 0.0;
+    PredictRoutesBeamMulti(&one_predict_, rng);
+    return item.route;
   }
   ctx_ptrs_.assign(1, &ctx);
   PrepareContexts(ctx_ptrs_);
@@ -368,20 +373,6 @@ void InferenceSession::CopyHyp(const Hyp& src, Hyp* dst) {
   dst->src_row = src.src_row;
   dst->hit_src = src.hit_src;
   dst->key = src.key;
-}
-
-traj::Route InferenceSession::PredictRouteBeam(const PredictionContext& ctx,
-                                               SegmentId origin,
-                                               util::Rng* rng,
-                                               double deadline_ms,
-                                               bool* budget_hit) {
-  PredictItem& item = one_predict_[0];
-  item.ctx = &ctx;
-  item.origin = origin;
-  item.deadline_ms = deadline_ms;
-  PredictRoutesBeamMulti(&one_predict_, rng);
-  if (budget_hit != nullptr) *budget_hit = item.budget_hit;
-  return item.route;
 }
 
 void InferenceSession::EnsureQueryBeams(size_t count) {

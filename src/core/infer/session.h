@@ -55,8 +55,8 @@ struct SharedInferWeights {
 // One engine serves every call. Each call folds its contexts into rows of
 // the per-query bias blocks (PrepareContexts) and steps a padded batch whose
 // rows each read their own query's row (StepBatch's row_ctx, the kernels'
-// bias_row). Single-query calls are batches over one context: the beam runs
-// PredictRoutesBeamMulti on a one-item vector, ScoreRoutes runs
+// bias_row). Single-query calls are batches over one context: PredictRoute's
+// beam runs PredictRoutesBeamMulti on a one-item vector, ScoreRoutes runs
 // ScoreRoutesMulti on one item. The kernels are row-local, so a query's
 // result is bitwise the same whatever else shares its batch. Only
 // PredictRoute keeps a step loop of its own, for greedy (beam_width 1) and
@@ -88,10 +88,6 @@ class InferenceSession {
   // Counterparts of the DeepSTModel prediction API (same contracts).
   traj::Route PredictRoute(const PredictionContext& ctx,
                            roadnet::SegmentId origin, util::Rng* rng);
-  traj::Route PredictRouteBeam(const PredictionContext& ctx,
-                               roadnet::SegmentId origin, util::Rng* rng,
-                               double deadline_ms = 0.0,
-                               bool* budget_hit = nullptr);
   double ScoreRoute(const PredictionContext& ctx, const traj::Route& route);
 
   // Batched scoring: all candidates advance through one padded
@@ -280,7 +276,7 @@ class InferenceSession {
   std::vector<const PredictionContext*> ctx_ptrs_;
   std::vector<QueryBeam> query_beams_;
   std::vector<traj::Route> fulls_;         // prefix + continuation scratch
-  // The one-item batches PredictRouteBeam and ScoreRoutes run.
+  // The one-item batches PredictRoute's beam and ScoreRoutes run.
   std::vector<PredictItem> one_predict_;
   std::vector<ScoreItem> one_score_;
 };

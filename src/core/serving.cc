@@ -19,6 +19,29 @@ bool OutsideWithSlack(const geo::BoundingBox& box, const geo::Point& p,
          p.y < box.min.y - slack_m || p.y > box.max.y + slack_m;
 }
 
+// Runs model code, converting what it throws (injected query faults,
+// allocation failure) into the query's Status, so a single bad query can
+// never take the process down.
+template <typename Fn>
+util::Status RunModel(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return util::Status::Internal(
+        util::StrFormat("query execution failed: %s", e.what()));
+  }
+  return util::Status::Ok();
+}
+
+// Runs item k of `items` through `call` as a batch of one.
+template <typename Item, typename Call>
+void RunAlone(std::vector<Item>* items, size_t k, Call&& call) {
+  std::vector<Item> one;
+  one.push_back(std::move((*items)[k]));
+  call(&one);
+  (*items)[k] = std::move(one.front());
+}
+
 }  // namespace
 
 std::string DegradationsToString(uint8_t degradations) {
@@ -167,93 +190,19 @@ util::Status ServingContext::ResolveQuery(RouteQuery* query,
   return util::Status::Ok();
 }
 
-util::StatusOr<ServingResult> ServingContext::PredictInternal(
-    const RouteQuery& query, double deadline_ms) {
-  util::Stopwatch sw;
-  ServingResult result;
-  RouteQuery resolved = query;
-  ContextOptions options;
-  const traffic::SnapshotPin pin = PinSnapshot(&options, &result);
-  DEEPST_RETURN_IF_ERROR(ResolveQuery(&resolved, /*origin_required=*/true,
-                                      &options, &result.degradations,
-                                      &result.what_if));
-  // Everything past this point runs model code that may throw (injected
-  // query faults, allocation failure); convert to Status so a single bad
-  // query can never take the process down.
-  try {
-    util::Rng rng(config_.rng_seed);
-    PredictionContext ctx = model_->MakeContext(resolved, &rng, options);
-    if (deadline_ms > 0.0 && model_->config().map_prediction) {
-      bool budget_hit = false;
-      result.route = model_->PredictRouteBeam(ctx, resolved.origin, &rng,
-                                              deadline_ms, &budget_hit);
-      if (budget_hit) result.degradations |= kDegradationDeadlineBudget;
-    } else {
-      result.route = model_->PredictRoute(ctx, resolved.origin, &rng);
-    }
-  } catch (const std::exception& e) {
-    return util::Status::Internal(
-        util::StrFormat("query execution failed: %s", e.what()));
-  }
-  result.degraded = result.degradations != kDegradationNone;
-  result.latency_ms = sw.ElapsedMillis();
-  return result;
-}
-
 util::StatusOr<ServingResult> ServingContext::Predict(const RouteQuery& query) {
-  util::StatusOr<ServingResult> outcome =
-      PredictInternal(query, config_.deadline_ms);
-  RecordOutcome(outcome);
-  return outcome;
+  std::vector<ServingRequest> one(1);
+  one[0].query = query;
+  return std::move(ExecuteBatch(&one).front());
 }
 
 util::StatusOr<ServingResult> ServingContext::ScoreRoute(
     const RouteQuery& query, const traj::Route& route) {
-  util::Stopwatch sw;
-  const roadnet::RoadNetwork& net = model_->network();
-  auto fail = [this](util::Status status) -> util::StatusOr<ServingResult> {
-    util::StatusOr<ServingResult> outcome(std::move(status));
-    RecordOutcome(outcome);
-    return outcome;
-  };
-  if (route.empty()) {
-    return fail(util::Status::InvalidArgument("route is empty"));
-  }
-  for (roadnet::SegmentId s : route) {
-    if (s < 0 || s >= net.num_segments()) {
-      return fail(util::Status::InvalidArgument(util::StrFormat(
-          "route references segment %d out of range", static_cast<int>(s))));
-    }
-  }
-  ServingResult result;
-  RouteQuery resolved = query;
-  // Scoring does not generate from the origin; default it to the route head
-  // so callers can score without resolving one.
-  if (resolved.origin == roadnet::kInvalidSegment &&
-      !resolved.has_origin_point) {
-    resolved.origin = route.front();
-  }
-  ContextOptions options;
-  const traffic::SnapshotPin pin = PinSnapshot(&options, &result);
-  {
-    util::Status status = ResolveQuery(&resolved, /*origin_required=*/false,
-                                       &options, &result.degradations,
-                                       &result.what_if);
-    if (!status.ok()) return fail(std::move(status));
-  }
-  try {
-    util::Rng rng(config_.rng_seed);
-    PredictionContext ctx = model_->MakeContext(resolved, &rng, options);
-    result.score = model_->ScoreRoute(ctx, route);
-  } catch (const std::exception& e) {
-    return fail(util::Status::Internal(
-        util::StrFormat("query execution failed: %s", e.what())));
-  }
-  result.degraded = result.degradations != kDegradationNone;
-  result.latency_ms = sw.ElapsedMillis();
-  util::StatusOr<ServingResult> outcome(std::move(result));
-  RecordOutcome(outcome);
-  return outcome;
+  std::vector<ServingRequest> one(1);
+  one[0].kind = ServingRequest::Kind::kScore;
+  one[0].query = query;
+  one[0].routes = {route};
+  return std::move(ExecuteBatch(&one).front());
 }
 
 util::Status ServingContext::ValidateScoreRoutes(
@@ -294,43 +243,6 @@ util::StatusOr<ServingResult> ServingContext::ExecuteIngest(
   return result;
 }
 
-util::StatusOr<ServingResult> ServingContext::ExecuteOne(
-    const ServingRequest& request) {
-  const double deadline =
-      request.deadline_ms > 0.0 ? request.deadline_ms : config_.deadline_ms;
-  if (request.kind == ServingRequest::Kind::kIngest) {
-    return ExecuteIngest(request);
-  }
-  if (request.kind == ServingRequest::Kind::kPredict) {
-    return PredictInternal(request.query, deadline);
-  }
-  util::Stopwatch sw;
-  DEEPST_RETURN_IF_ERROR(ValidateScoreRoutes(request.routes));
-  ServingResult result;
-  RouteQuery resolved = request.query;
-  if (resolved.origin == roadnet::kInvalidSegment &&
-      !resolved.has_origin_point) {
-    resolved.origin = request.routes.front().front();
-  }
-  ContextOptions options;
-  const traffic::SnapshotPin pin = PinSnapshot(&options, &result);
-  DEEPST_RETURN_IF_ERROR(ResolveQuery(&resolved, /*origin_required=*/false,
-                                      &options, &result.degradations,
-                                      &result.what_if));
-  try {
-    util::Rng rng(config_.rng_seed);
-    PredictionContext ctx = model_->MakeContext(resolved, &rng, options);
-    result.scores = model_->ScoreRoutes(ctx, request.routes);
-  } catch (const std::exception& e) {
-    return util::Status::Internal(
-        util::StrFormat("query execution failed: %s", e.what()));
-  }
-  result.score = result.scores.empty() ? 0.0 : result.scores.front();
-  result.degraded = result.degradations != kDegradationNone;
-  result.latency_ms = sw.ElapsedMillis();
-  return result;
-}
-
 std::vector<util::StatusOr<ServingResult>> ServingContext::ExecuteBatch(
     std::vector<ServingRequest>* requests) {
   util::Stopwatch sw;
@@ -338,151 +250,142 @@ std::vector<util::StatusOr<ServingResult>> ServingContext::ExecuteBatch(
   std::vector<util::StatusOr<ServingResult>> results(n, ServingResult{});
   if (n == 0) return results;
 
-  // Cross-query coalescing requires the deterministic MAP config (no rng
-  // draws in generation, so batch composition cannot perturb any stream).
-  // Other configs execute request by request -- same per-request results,
-  // just without the shared batch.
-  const DeepSTConfig& mc = model_->config();
-  const bool batchable = mc.map_prediction && !mc.sample_stop;
-  if (!batchable) {
-    for (size_t i = 0; i < n; ++i) {
-      results[i] = ExecuteOne((*requests)[i]);
-      RecordOutcome(results[i]);
-    }
-    return results;
-  }
-
-  // Stage 1: validate, resolve and build every request's context
-  // individually. A request that fails here only fails its own slot.
-  // Ingest requests execute right here -- their work is a WAL append, not
-  // an inference call, so they never ride the coalesced model batch.
-  struct Prepared {
+  // Stage 1: each request once -- validate, pin, resolve, build its
+  // context. A request that fails here only fails its own slot. Ingest
+  // requests execute right here: their work is a WAL append, not a model
+  // call.
+  struct Admitted {
     RouteQuery resolved;
     ContextOptions options;
+    util::Rng rng;  // the request's own stream, from config.rng_seed
     PredictionContext ctx;
     traffic::SnapshotPin pin;  // held until the request's result is built
-    uint8_t degradations = kDegradationNone;
-    bool what_if = false;
-    uint64_t generation = 0;
+    ServingResult result;      // generation, degradations and what-if so far
   };
-  std::vector<Prepared> prep(n);
+  std::vector<Admitted> admitted(n);
   std::vector<size_t> predict_ix;
   std::vector<size_t> score_ix;
+  // Settles request i: its admission result, or `status` when not OK.
+  auto finish = [&](size_t i, util::Status status) {
+    Admitted& a = admitted[i];
+    if (status.ok()) {
+      a.result.latency_ms = sw.ElapsedMillis();
+      results[i] = std::move(a.result);
+    } else {
+      results[i] = std::move(status);
+    }
+    a.pin.Release();
+    RecordOutcome(results[i]);
+  };
   for (size_t i = 0; i < n; ++i) {
     const ServingRequest& req = (*requests)[i];
-    Prepared& p = prep[i];
+    Admitted& a = admitted[i];
     if (req.kind == ServingRequest::Kind::kIngest) {
       results[i] = ExecuteIngest(req);
       RecordOutcome(results[i]);
       continue;
     }
     const bool is_score = req.kind == ServingRequest::Kind::kScore;
-    p.resolved = req.query;
+    a.resolved = req.query;
+    util::Status status;
     if (is_score) {
-      util::Status status = ValidateScoreRoutes(req.routes);
-      if (!status.ok()) {
-        results[i] = std::move(status);
-        RecordOutcome(results[i]);
-        continue;
-      }
-      if (p.resolved.origin == roadnet::kInvalidSegment &&
-          !p.resolved.has_origin_point) {
-        p.resolved.origin = req.routes.front().front();
+      status = ValidateScoreRoutes(req.routes);
+      // Scoring does not generate from the origin; default it to the first
+      // route's head so callers can score without resolving one.
+      if (status.ok() && a.resolved.origin == roadnet::kInvalidSegment &&
+          !a.resolved.has_origin_point) {
+        a.resolved.origin = req.routes.front().front();
       }
     }
-    {
-      ServingResult pin_stamp;
-      p.pin = PinSnapshot(&p.options, &pin_stamp);
-      p.generation = pin_stamp.snapshot_generation;
+    if (status.ok()) {
+      a.pin = PinSnapshot(&a.options, &a.result);
+      status = ResolveQuery(&a.resolved, /*origin_required=*/!is_score,
+                            &a.options, &a.result.degradations,
+                            &a.result.what_if);
     }
-    util::Status status = ResolveQuery(&p.resolved, !is_score, &p.options,
-                                       &p.degradations, &p.what_if);
+    if (status.ok()) {
+      a.rng = util::Rng(config_.rng_seed);
+      status = RunModel(
+          [&] { a.ctx = model_->MakeContext(a.resolved, &a.rng, a.options); });
+    }
     if (!status.ok()) {
-      results[i] = std::move(status);
-      RecordOutcome(results[i]);
+      finish(i, std::move(status));
       continue;
     }
-    try {
-      util::Rng rng(config_.rng_seed);
-      p.ctx = model_->MakeContext(p.resolved, &rng, p.options);
-      (is_score ? score_ix : predict_ix).push_back(i);
-    } catch (const std::exception& e) {
-      results[i] = util::Status::Internal(
-          util::StrFormat("query execution failed: %s", e.what()));
-      RecordOutcome(results[i]);
-    }
+    (is_score ? score_ix : predict_ix).push_back(i);
   }
 
-  // Stage 2: one coalesced batch per kind. If the shared call throws (an
-  // injected fault, allocation failure), re-execute every rider
-  // individually: only the poisoned request fails, with its own Status.
+  // Stage 2: the model calls. When a call shared by several requests throws
+  // (an injected fault, allocation failure), only this stage re-runs,
+  // request by request, on the context and pin each already holds, so only
+  // the poisoned request fails, with its own Status. A lone request's call
+  // is its own, and what it throws is that request's failure.
   if (!predict_ix.empty()) {
+    const DeepSTConfig& mc = model_->config();
     std::vector<PredictItem> items(predict_ix.size());
-    for (size_t k = 0; k < predict_ix.size(); ++k) {
+    for (size_t k = 0; k < items.size(); ++k) {
       const size_t i = predict_ix[k];
-      const ServingRequest& req = (*requests)[i];
-      items[k].ctx = &prep[i].ctx;
-      items[k].origin = prep[i].resolved.origin;
+      const double deadline_ms = (*requests)[i].deadline_ms;
+      items[k].ctx = &admitted[i].ctx;
+      items[k].origin = admitted[i].resolved.origin;
       items[k].deadline_ms =
-          req.deadline_ms > 0.0 ? req.deadline_ms : config_.deadline_ms;
+          deadline_ms > 0.0 ? deadline_ms : config_.deadline_ms;
     }
-    bool batch_ok = true;
-    try {
-      model_->PredictRoutesBeamMulti(&items);
-    } catch (const std::exception&) {
-      batch_ok = false;
-    }
-    for (size_t k = 0; k < predict_ix.size(); ++k) {
-      const size_t i = predict_ix[k];
-      if (batch_ok) {
-        ServingResult result;
-        result.degradations = prep[i].degradations;
-        if (items[k].budget_hit) {
-          result.degradations |= kDegradationDeadlineBudget;
-        }
-        result.route = std::move(items[k].route);
-        result.degraded = result.degradations != kDegradationNone;
-        result.what_if = prep[i].what_if;
-        result.snapshot_generation = prep[i].generation;
-        result.latency_ms = sw.ElapsedMillis();
-        results[i] = std::move(result);
-      } else {
-        results[i] = ExecuteOne((*requests)[i]);
+    // The MAP beam draws nothing without sampled stops, so those predicts
+    // share one call. A predict that draws runs alone on its request's rng:
+    // a one-item beam under sample_stop, and PredictRoute's sampled loop
+    // (which takes no deadline) without map_prediction.
+    auto predict_alone = [&](size_t k) {
+      util::Rng* rng = &admitted[predict_ix[k]].rng;
+      if (!mc.map_prediction) {
+        items[k].route =
+            model_->PredictRoute(*items[k].ctx, items[k].origin, rng);
+        return;
       }
-      prep[i].pin.Release();
-      RecordOutcome(results[i]);
+      RunAlone(&items, k, [&](std::vector<PredictItem>* one) {
+        model_->PredictRoutesBeamMulti(one, rng);
+      });
+    };
+    util::Status shared;
+    bool alone = !mc.map_prediction || mc.sample_stop;
+    if (!alone) {
+      shared = RunModel([&] { model_->PredictRoutesBeamMulti(&items); });
+      alone = !shared.ok() && items.size() > 1;
+    }
+    for (size_t k = 0; k < items.size(); ++k) {
+      const util::Status status =
+          alone ? RunModel([&] { predict_alone(k); }) : shared;
+      ServingResult& result = admitted[predict_ix[k]].result;
+      if (items[k].budget_hit) {
+        result.degradations |= kDegradationDeadlineBudget;
+      }
+      result.route = std::move(items[k].route);
+      finish(predict_ix[k], status);
     }
   }
   if (!score_ix.empty()) {
+    // Scoring draws nothing, so the score requests share one call under
+    // every config.
     std::vector<ScoreItem> items(score_ix.size());
-    for (size_t k = 0; k < score_ix.size(); ++k) {
-      const size_t i = score_ix[k];
-      items[k].ctx = &prep[i].ctx;
-      items[k].routes = &(*requests)[i].routes;
+    for (size_t k = 0; k < items.size(); ++k) {
+      items[k].ctx = &admitted[score_ix[k]].ctx;
+      items[k].routes = &(*requests)[score_ix[k]].routes;
     }
-    bool batch_ok = true;
-    try {
-      model_->ScoreRoutesMulti(&items);
-    } catch (const std::exception&) {
-      batch_ok = false;
-    }
-    for (size_t k = 0; k < score_ix.size(); ++k) {
-      const size_t i = score_ix[k];
-      if (batch_ok) {
-        ServingResult result;
-        result.degradations = prep[i].degradations;
-        result.scores = std::move(items[k].scores);
-        result.score = result.scores.empty() ? 0.0 : result.scores.front();
-        result.degraded = result.degradations != kDegradationNone;
-        result.what_if = prep[i].what_if;
-        result.snapshot_generation = prep[i].generation;
-        result.latency_ms = sw.ElapsedMillis();
-        results[i] = std::move(result);
-      } else {
-        results[i] = ExecuteOne((*requests)[i]);
-      }
-      prep[i].pin.Release();
-      RecordOutcome(results[i]);
+    auto score_alone = [&](size_t k) {
+      RunAlone(&items, k, [this](std::vector<ScoreItem>* one) {
+        model_->ScoreRoutesMulti(one);
+      });
+    };
+    const util::Status shared =
+        RunModel([&] { model_->ScoreRoutesMulti(&items); });
+    const bool alone = !shared.ok() && items.size() > 1;
+    for (size_t k = 0; k < items.size(); ++k) {
+      const util::Status status =
+          alone ? RunModel([&] { score_alone(k); }) : shared;
+      ServingResult& result = admitted[score_ix[k]].result;
+      result.scores = std::move(items[k].scores);
+      result.score = result.scores.empty() ? 0.0 : result.scores.front();
+      finish(score_ix[k], status);
     }
   }
   return results;
@@ -496,7 +399,7 @@ void ServingContext::RecordOutcome(
   }
   const ServingResult& r = outcome.value();
   n_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (r.degradations != kDegradationNone) {
+  if (r.degraded()) {
     n_degraded_.fetch_add(1, std::memory_order_relaxed);
   }
   if (r.degradations & kDegradationTrafficPriorMean) {

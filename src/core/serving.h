@@ -63,7 +63,6 @@ struct ServingResult {
   // Multi-candidate scoring (batched score requests): one log-likelihood
   // per candidate route, ScoreRoutes conventions; `score` mirrors the first.
   std::vector<double> scores;
-  bool degraded = false;
   uint8_t degradations = kDegradationNone;  // bitmask of Degradation
   double latency_ms = 0.0;
   // Traffic generation the query pinned at admission (0 when serving a
@@ -76,6 +75,8 @@ struct ServingResult {
   // kIngest only: rows made durable / rows dropped by validation.
   int64_t ingested = 0;
   int64_t ingest_rejected = 0;
+
+  bool degraded() const { return degradations != kDegradationNone; }
 };
 
 // Cumulative accounting across every query served through one context.
@@ -132,27 +133,34 @@ class ServingContext {
                  const ServingConfig& config = {},
                  traffic::SnapshotStore* store = nullptr);
 
-  // Route generation for one query. Non-OK only for invalid queries (bad
+  // Route generation for one query: a one-request ExecuteBatch, with
+  // config.deadline_ms as its budget. Non-OK only for invalid queries (bad
   // ids, non-finite fields), strict-mode refusals, or query execution
   // failures; degradable conditions come back OK with flags set.
   util::StatusOr<ServingResult> Predict(const RouteQuery& query);
 
-  // Log-likelihood of `route` under the query's context. Routes with
+  // Log-likelihood of `route` under the query's context: a one-request
+  // ExecuteBatch of one candidate (`scores` holds it too). Routes with
   // out-of-range segment ids are invalid queries; contiguity failures score
   // -inf (a well-defined likelihood statement, not an error).
   util::StatusOr<ServingResult> ScoreRoute(const RouteQuery& query,
                                            const traj::Route& route);
 
-  // Executes a batch of requests coalesced from different clients: each
-  // request is validated/resolved individually, then all eligible predict
-  // requests run as ONE lock-step beam batch and all score requests as ONE
-  // padded scoring batch through a single leased inference session
-  // (bitwise identical per request to the single-query calls above).
-  // Execution is exception-isolated twice over: per-request resolution
-  // failures only fail their own slot, and if the shared batch call throws
-  // (an injected fault, allocation failure), every request is re-executed
-  // individually so only the poisoned request returns Internal -- one bad
-  // request never takes down the batch it rode in with.
+  // The one request pipeline; the single-query calls above are batches of
+  // one, so a request's result does not depend on what else shares its
+  // batch. Stage 1 takes each request once: validate, pin the snapshot
+  // generation (admission), resolve, and build the context on the
+  // request's own Rng(config.rng_seed). Stage 2 makes the model calls: all
+  // score requests as ONE padded scoring batch, and all predict requests
+  // as ONE lock-step beam batch when the beam draws nothing (map_prediction
+  // without sample_stop). A predict that draws from the rng (sampled stops,
+  // sampled generation) runs alone on its request's rng. Execution is
+  // exception-isolated twice over: a failure in stage 1 only fails its own
+  // slot, and if a model call shared by several requests throws (an
+  // injected fault, allocation failure), only stage 2 re-runs, request by
+  // request, on the context and pin each request already holds -- so only
+  // the poisoned request returns Internal, and one bad request never takes
+  // down the batch it rode in with.
   std::vector<util::StatusOr<ServingResult>> ExecuteBatch(
       std::vector<ServingRequest>* requests);
 
@@ -188,13 +196,6 @@ class ServingContext {
   // Candidate-set validation for score requests (out-of-range segment ids
   // are invalid queries; contiguity is the scorer's business).
   util::Status ValidateScoreRoutes(const std::vector<traj::Route>& routes);
-  // Predict with an explicit wall budget (the public Predict passes
-  // config.deadline_ms; batch execution passes the request's remainder).
-  util::StatusOr<ServingResult> PredictInternal(const RouteQuery& query,
-                                                double deadline_ms);
-  // Single-request execution with the request's own deadline; the per-item
-  // fallback of ExecuteBatch and the non-batchable config path.
-  util::StatusOr<ServingResult> ExecuteOne(const ServingRequest& request);
 
   DeepSTModel* model_;
   const roadnet::SpatialIndex* index_;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -88,6 +89,16 @@ std::vector<const traj::TripRecord*> TestTrips(int n) {
   return out;
 }
 
+// The single-query beam: a one-item PredictRoutesBeamMulti.
+traj::Route BeamRoute(DeepSTModel& model, const PredictionContext& ctx,
+                      roadnet::SegmentId origin, util::Rng* rng) {
+  std::vector<PredictItem> one(1);
+  one[0].ctx = &ctx;
+  one[0].origin = origin;
+  model.PredictRoutesBeamMulti(&one, rng);
+  return std::move(one[0].route);
+}
+
 TEST(NoGradGuardTest, DisablesAndRestoresTapeRecording) {
   EXPECT_TRUE(nn::GradEnabled());
   {
@@ -159,7 +170,7 @@ bool SameRngState(const util::Rng& a, const util::Rng& b) {
 // sampled stops) plus the width-1 beam: from equal seeds the fast path makes
 // the reference's draws in the reference's order, so routes and the rng's
 // end state both match. The batched entry point must make the same draws as
-// one PredictRouteBeam call per item on the shared rng.
+// one one-item call per item on the shared rng.
 TEST(InferenceParityTest, RngDrawingConfigsMatchReference) {
   auto& world = TestWorld();
   const auto trips = TestTrips(3);
@@ -200,13 +211,12 @@ TEST(InferenceParityTest, RngDrawingConfigsMatchReference) {
         EXPECT_TRUE(SameRngState(fast_rng, ref_rng)) << label << " trip " << i;
         util::Rng beam_rng(17 + i), beam_ref_rng(17 + i);
         EXPECT_EQ(
-            model.PredictRouteBeam(ctxs[i], origins[i], &beam_rng),
+            BeamRoute(model, ctxs[i], origins[i], &beam_rng),
             model.PredictRouteBeamReference(ctxs[i], origins[i], &beam_ref_rng))
             << label << " trip " << i;
         EXPECT_TRUE(SameRngState(beam_rng, beam_ref_rng))
             << label << " trip " << i;
-        sequential.push_back(
-            model.PredictRouteBeam(ctxs[i], origins[i], &seq_rng));
+        sequential.push_back(BeamRoute(model, ctxs[i], origins[i], &seq_rng));
       }
       std::vector<PredictItem> items(trips.size());
       for (size_t i = 0; i < items.size(); ++i) {
@@ -243,7 +253,7 @@ TEST(InferenceRegressionTest, BeamWidthOneEqualsGreedy) {
         const traj::Route beam =
             graph ? model.PredictRouteBeamReference(ctx, query.origin,
                                                     &rng_beam)
-                  : model.PredictRouteBeam(ctx, query.origin, &rng_beam);
+                  : BeamRoute(model, ctx, query.origin, &rng_beam);
         EXPECT_EQ(greedy, beam) << "reference=" << graph << " seed=" << seed;
       }
     }
@@ -267,7 +277,7 @@ TEST(InferenceDeterminismTest, ThreadCountInvariant) {
       PredictionContext ctx = model.MakeContext(query, &rng);
       util::Rng prng(5);
       routes_by_threads[t].push_back(
-          model.PredictRouteBeam(ctx, query.origin, &prng));
+          BeamRoute(model, ctx, query.origin, &prng));
       scores_by_threads[t].push_back(model.ScoreRoute(ctx, rec->trip.route));
     }
   }
@@ -423,7 +433,7 @@ TEST(InferenceArenaTest, ZeroAllocationSteadyState) {
   std::vector<double> scores;
   auto run = [&] {
     util::Rng r(9);
-    route = session.PredictRouteBeam(ctx, query.origin, &r);
+    route = session.PredictRoute(ctx, query.origin, &r);
     scores = session.ScoreRoutes(ctx, candidates);
     session.ScoreRoute(ctx, candidates[0]);
     session.PredictRoutesBeamMulti(&pitems);
@@ -445,7 +455,7 @@ TEST(InferenceArenaTest, ZeroAllocationSteadyState) {
   // beyond the vector it returns by value.
   util::Rng r(9);
   EXPECT_EQ(CountAllocs([&] {
-              route = session.PredictRouteBeam(ctx, query.origin, &r);
+              route = session.PredictRoute(ctx, query.origin, &r);
             }).count,
             1);  // the returned route
   EXPECT_EQ(CountAllocs([&] {
@@ -588,7 +598,7 @@ TEST(InferenceConcurrencyTest, SessionPoolSafeUnderConcurrentCalls) {
     ctxs.push_back(model.MakeContext(query, &rng));
     util::Rng prng(3);
     expected_routes.push_back(
-        model.PredictRouteBeam(ctxs.back(), query.origin, &prng));
+        BeamRoute(model, ctxs.back(), query.origin, &prng));
     expected_scores.push_back(model.ScoreRoute(ctxs.back(), rec->trip.route));
   }
   // Hammer the same queries from several threads at once.
@@ -602,7 +612,7 @@ TEST(InferenceConcurrencyTest, SessionPoolSafeUnderConcurrentCalls) {
         const size_t i = static_cast<size_t>((w + round) % trips.size());
         RouteQuery query = eval::QueryFor(trips[i]->trip);
         util::Rng prng(3);
-        if (model.PredictRouteBeam(ctxs[i], query.origin, &prng) !=
+        if (BeamRoute(model, ctxs[i], query.origin, &prng) !=
             expected_routes[i]) {
           failures[static_cast<size_t>(w)]++;
         }
@@ -639,8 +649,7 @@ TEST(InferenceMultiQueryTest, BeamMultiBitwiseEqualsSingleQuery) {
     ctxs.push_back(model.MakeContext(query, &rng));
     origins.push_back(query.origin);
     util::Rng prng(7);
-    singles.push_back(model.PredictRouteBeam(ctxs.back(), query.origin,
-                                             &prng));
+    singles.push_back(BeamRoute(model, ctxs.back(), query.origin, &prng));
   }
   std::vector<PredictItem> items(trips.size());
   for (size_t i = 0; i < items.size(); ++i) {
@@ -714,7 +723,7 @@ TEST(InferenceMultiQueryTest, BeamMultiDeadlinesArePerItem) {
   }
   util::Rng prng(7);
   const traj::Route unbudgeted =
-      model.PredictRouteBeam(ctxs[1], origins[1], &prng);
+      BeamRoute(model, ctxs[1], origins[1], &prng);
 
   std::vector<PredictItem> items(2);
   items[0].ctx = &ctxs[0];

@@ -11,6 +11,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/neural_router.h"
@@ -73,6 +74,16 @@ std::vector<const traj::TripRecord*> TestTrips(int n) {
     if (rec->trip.route.size() >= 3) out.push_back(rec);
   }
   return out;
+}
+
+// The single-query beam: a one-item PredictRoutesBeamMulti.
+traj::Route BeamRoute(DeepSTModel& model, const PredictionContext& ctx,
+                      roadnet::SegmentId origin, util::Rng* rng) {
+  std::vector<PredictItem> one(1);
+  one[0].ctx = &ctx;
+  one[0].origin = origin;
+  model.PredictRoutesBeamMulti(&one, rng);
+  return std::move(one[0].route);
 }
 
 // Reference GEMV over the packed doubles, accumulated sequentially: the
@@ -769,8 +780,7 @@ TEST(MemoParityTest, MultiQueryBatchMatchesSingleQueryCalls) {
   std::vector<traj::Route> singles;
   for (size_t i = 0; i < queries.size(); ++i) {
     util::Rng r(2);
-    singles.push_back(
-        model.PredictRouteBeam(ctxs[i], queries[i].origin, &r));
+    singles.push_back(BeamRoute(model, ctxs[i], queries[i].origin, &r));
   }
   std::vector<PredictItem> items(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -781,7 +791,7 @@ TEST(MemoParityTest, MultiQueryBatchMatchesSingleQueryCalls) {
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(items[i].route, singles[i]) << "query " << i;
     util::Rng r(2);
-    EXPECT_EQ(model.PredictRouteBeam(ctxs[i], queries[i].origin, &r),
+    EXPECT_EQ(BeamRoute(model, ctxs[i], queries[i].origin, &r),
               singles[i]);
   }
   const auto st = model.transition_memo_stats();
@@ -805,7 +815,7 @@ TEST(MemoInvalidationTest, WeightSwapNeverServesStaleEntries) {
     const RouteQuery query = eval::QueryFor(rec->trip);
     PredictionContext ctx = model.MakeContext(query, &crng);
     util::Rng r(3);
-    (void)model.PredictRouteBeam(ctx, query.origin, &r);
+    (void)BeamRoute(model, ctx, query.origin, &r);
   }
   const auto before = model.transition_memo_stats();
   EXPECT_GT(before.insertions, 0);
@@ -835,8 +845,8 @@ TEST(MemoInvalidationTest, WeightSwapNeverServesStaleEntries) {
     PredictionContext ctx_m = model.MakeContext(query, &crng_a);
     PredictionContext ctx_f = fresh.value()->MakeContext(query, &crng_b);
     util::Rng r1(4), r2(4);
-    EXPECT_EQ(model.PredictRouteBeam(ctx_m, query.origin, &r1),
-              fresh.value()->PredictRouteBeam(ctx_f, query.origin, &r2));
+    EXPECT_EQ(BeamRoute(model, ctx_m, query.origin, &r1),
+              BeamRoute(*fresh.value(), ctx_f, query.origin, &r2));
     EXPECT_EQ(model.ScoreRoute(ctx_m, rec->trip.route),
               fresh.value()->ScoreRoute(ctx_f, rec->trip.route));
   }
@@ -862,7 +872,7 @@ TEST(MemoConcurrencyTest, HitAccountingIsExactUnderConcurrency) {
     ctxs.push_back(model.MakeContext(queries.back(), &crng));
     util::Rng r(5);
     want.push_back(
-        model.PredictRouteBeam(ctxs.back(), queries.back().origin, &r));
+        BeamRoute(model, ctxs.back(), queries.back().origin, &r));
   }
 
   constexpr int kThreads = 4;
@@ -875,7 +885,7 @@ TEST(MemoConcurrencyTest, HitAccountingIsExactUnderConcurrency) {
         for (size_t q = 0; q < queries.size(); ++q) {
           util::Rng r(5);
           const traj::Route got =
-              model.PredictRouteBeam(ctxs[q], queries[q].origin, &r);
+              BeamRoute(model, ctxs[q], queries[q].origin, &r);
           if (got != want[q]) ++mismatches[static_cast<size_t>(t)];
         }
       }

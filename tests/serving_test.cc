@@ -7,6 +7,7 @@
 // overlays, swaps and new observations; concurrent use).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -93,7 +94,7 @@ TEST_F(ServingTest, HappyPathStrictUndegradedAndDeterministic) {
   const RouteQuery query = eval::QueryFor(CoveredTrip().trip);
   auto first = serving.Predict(query);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_FALSE(first.value().degraded);
+  EXPECT_FALSE(first.value().degraded());
   EXPECT_EQ(first.value().degradations, kDegradationNone);
   EXPECT_FALSE(first.value().route.empty());
   EXPECT_TRUE(TestWorld().net().ValidateRoute(first.value().route).ok());
@@ -142,7 +143,7 @@ TEST_F(ServingTest, OffNetworkOriginSnapsViaSpatialIndex) {
   auto result = serving.Predict(query);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().degradations & kDegradationSnappedOrigin);
-  EXPECT_TRUE(result.value().degraded);
+  EXPECT_TRUE(result.value().degraded());
   EXPECT_FALSE(result.value().route.empty());
 
   // Strict mode refuses to snap.
@@ -169,7 +170,7 @@ TEST_F(ServingTest, FarDestinationFallsBackToUniformProxy) {
   auto first = serving.Predict(query);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_TRUE(first.value().degradations & kDegradationUniformProxy);
-  EXPECT_TRUE(first.value().degraded);
+  EXPECT_TRUE(first.value().degraded());
   EXPECT_FALSE(first.value().route.empty());
   EXPECT_TRUE(TestWorld().net().ValidateRoute(first.value().route).ok());
   // The uniform-proxy fallback is deterministic: bitwise identical routes.
@@ -251,7 +252,7 @@ TEST_F(ServingTest, DeadlineBudgetReturnsValidRouteWithFlag) {
   EXPECT_EQ(result.value().route.front(), query.origin);
   EXPECT_TRUE(TestWorld().net().ValidateRoute(result.value().route).ok());
   EXPECT_TRUE(result.value().degradations & kDegradationDeadlineBudget);
-  EXPECT_TRUE(result.value().degraded);
+  EXPECT_TRUE(result.value().degraded());
 
   // The budget is explicit per-query configuration, so strict mode honors
   // it rather than refusing (unlike the model-quality fallbacks).
@@ -416,6 +417,197 @@ TEST_F(ServingTest, ExecuteBatchIsolatesInvalidRequests) {
             util::Status::Code::kInvalidArgument);
   ASSERT_TRUE(results[2].ok()) << results[2].status().ToString();
   EXPECT_EQ(results[0].value().route, results[2].value().route);
+}
+
+// The context fallbacks a served result reports, for rebuilding its context
+// directly on the model.
+ContextOptions OptionsFor(const ServingResult& served) {
+  ContextOptions options;
+  options.traffic_prior_mean =
+      (served.degradations & kDegradationTrafficPriorMean) != 0;
+  options.uniform_proxy = (served.degradations & kDegradationUniformProxy) != 0;
+  return options;
+}
+
+// The first `n` test queries with live traffic coverage.
+std::vector<RouteQuery> CoveredQueries(size_t n) {
+  std::vector<RouteQuery> out;
+  for (const auto* rec : TestWorld().split().test) {
+    if (out.size() == n) break;
+    const RouteQuery q = eval::QueryFor(rec->trip);
+    if (TestWorld().traffic_cache()->HasObservations(q.start_time_s)) {
+      out.push_back(q);
+    }
+  }
+  EXPECT_EQ(out.size(), n) << "too few covered test queries";
+  return out;
+}
+
+// When a shared model call throws, only the model stage re-runs, rider by
+// rider, on the context and pin each rider took at admission. Two armed
+// faults -- one in the shared beam, one in the first rider's re-run -- fail
+// that rider alone, and no context is built twice: the traffic posterior
+// memo sees one lookup per request, as in a clean batch.
+TEST_F(ServingTest, FallbackKeepsEachRidersPinAndContext) {
+  DeepSTModel& model = TestModel();
+  ServingContext serving(&model, &TestWorld().index());
+  std::vector<ServingRequest> requests(4);
+  const std::vector<RouteQuery> queries = CoveredQueries(requests.size());
+  ASSERT_EQ(queries.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) requests[i].query = queries[i];
+
+  std::vector<ServingRequest> clean_requests = requests;
+  int64_t before = model.traffic_posterior_memo_stats().lookups;
+  const auto clean = serving.ExecuteBatch(&clean_requests);
+  EXPECT_EQ(model.traffic_posterior_memo_stats().lookups - before, 4);
+
+  util::FaultInjector::Instance().Arm("infer.query",
+                                      util::FaultKind::kIoError,
+                                      /*after=*/0, /*count=*/2);
+  before = model.traffic_posterior_memo_stats().lookups;
+  const auto results = serving.ExecuteBatch(&requests);
+  EXPECT_EQ(model.traffic_posterior_memo_stats().lookups - before, 4);
+  int ok = 0;
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].ok()) {
+      EXPECT_EQ(results[i].status().code(), util::Status::Code::kInternal);
+      continue;
+    }
+    ++ok;
+    ASSERT_TRUE(clean[i].ok()) << clean[i].status().ToString();
+    EXPECT_EQ(results[i].value().route, clean[i].value().route) << i;
+  }
+  EXPECT_EQ(ok, 3);  // and one Internal
+}
+
+// At beam_width 1 a query has one answer: Predict, with a deadline or
+// without, and ExecuteBatch all run the width-1 beam. This model's slots 0
+// and 1 carry identical logit-head rows, so their logits tie exactly
+// wherever both are valid; greedy generation keeps the first maximal slot
+// and the beam the last, so greedy answers differently there.
+TEST_F(ServingTest, BeamWidthOneServesOneAnswerOnTiedSlots) {
+  DeepSTConfig cfg = baselines::DeepStConfigOf(SmallConfig());
+  cfg.beam_width = 1;
+  DeepSTModel model(TestWorld().net(), cfg, TestWorld().traffic_cache());
+  int copied = 0;
+  for (const auto& p : model.Parameters()) {
+    if (p.name != "alpha/weight" && p.name != "alpha/bias" &&
+        p.name != "beta/weight" && p.name != "gamma/weight") {
+      continue;
+    }
+    nn::Tensor& t = p.var->value();
+    const int64_t cols = t.numel() / t.shape()[0];
+    std::copy_n(t.data(), cols, t.data() + cols);  // slot 0's row -> slot 1
+    ++copied;
+  }
+  ASSERT_EQ(copied, 4);
+  model.RetirePooledSessions();
+
+  ServingContext serving(&model, &TestWorld().index());
+  ServingConfig budgeted;
+  budgeted.deadline_ms = 1e9;  // never expires
+  ServingContext with_deadline(&model, &TestWorld().index(), budgeted);
+  std::vector<ServingRequest> requests;
+  for (const auto* rec : TestWorld().split().test) {
+    requests.emplace_back();
+    requests.back().query = eval::QueryFor(rec->trip);
+  }
+  const auto batched = serving.ExecuteBatch(&requests);
+  int greedy_differs = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
+    const RouteQuery& query = requests[i].query;
+    const traj::Route& route = batched[i].value().route;
+    const auto plain = serving.Predict(query);
+    const auto budget = with_deadline.Predict(query);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_TRUE(budget.ok()) << budget.status().ToString();
+    EXPECT_EQ(plain.value().route, route) << "query " << i;
+    EXPECT_EQ(budget.value().route, route) << "query " << i;
+    util::Rng rng(serving.config().rng_seed);
+    const PredictionContext ctx =
+        model.MakeContext(query, &rng, OptionsFor(batched[i].value()));
+    greedy_differs += model.PredictRoute(ctx, query.origin, &rng) != route;
+  }
+  EXPECT_GT(greedy_differs, 0) << "no tie reached: the test shows nothing";
+}
+
+// The configs that draw from the rng: sampled generation, and sampled stops
+// at beam widths 4 and 1. A predict runs alone on its request's own
+// Rng(rng_seed), continuing from MakeContext, and scoring draws nothing; so
+// a mixed batch equals the single-query calls and the direct model calls on
+// a fresh rng, bit for bit.
+TEST_F(ServingTest, RngDrawingConfigsMatchSingleAndDirectCalls) {
+  struct Variant {
+    const char* name;
+    bool map_prediction;
+    bool sample_stop;
+    int beam_width;
+  };
+  const Variant variants[] = {{"sampled", false, false, 4},
+                              {"sample-stop", true, true, 4},
+                              {"sample-stop-width-1", true, true, 1}};
+  const std::vector<RouteQuery> queries = CoveredQueries(4);
+  const RouteQuery score_query = eval::QueryFor(CoveredTrip().trip);
+  const traj::Route& truth = CoveredTrip().trip.route;
+  const std::vector<traj::Route> candidates = {
+      truth, traj::Route(truth.begin(), truth.begin() + 2)};
+  const uint64_t seed = ServingConfig().rng_seed;
+  for (const Variant& v : variants) {
+    DeepSTConfig cfg = baselines::DeepStConfigOf(SmallConfig());
+    cfg.map_prediction = v.map_prediction;
+    cfg.sample_stop = v.sample_stop;
+    cfg.beam_width = v.beam_width;
+    DeepSTModel model(TestWorld().net(), cfg, TestWorld().traffic_cache());
+    ServingContext serving(&model, &TestWorld().index());
+    std::vector<ServingRequest> requests(queries.size() + 1);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      requests[i].query = queries[i];
+    }
+    requests[1].deadline_ms = 1e9;  // a deadline that never expires
+    ServingRequest& score = requests.back();
+    score.kind = ServingRequest::Kind::kScore;
+    score.query = score_query;
+    score.routes = candidates;
+    const auto batched = serving.ExecuteBatch(&requests);
+
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
+      const ServingResult& got = batched[i].value();
+      const auto single = serving.Predict(queries[i]);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      EXPECT_EQ(got.route, single.value().route) << v.name << " request " << i;
+
+      util::Rng rng(seed);
+      const PredictionContext ctx =
+          model.MakeContext(queries[i], &rng, OptionsFor(got));
+      traj::Route direct;
+      if (cfg.map_prediction) {
+        std::vector<PredictItem> one(1);
+        one[0].ctx = &ctx;
+        one[0].origin = queries[i].origin;
+        model.PredictRoutesBeamMulti(&one, &rng);
+        direct = one[0].route;
+      } else {
+        direct = model.PredictRoute(ctx, queries[i].origin, &rng);
+      }
+      EXPECT_EQ(got.route, direct) << v.name << " request " << i;
+    }
+
+    ASSERT_TRUE(batched.back().ok()) << batched.back().status().ToString();
+    const ServingResult& scored = batched.back().value();
+    ASSERT_EQ(scored.scores.size(), candidates.size());
+    util::Rng rng(seed);
+    const PredictionContext ctx =
+        model.MakeContext(score_query, &rng, OptionsFor(scored));
+    const std::vector<double> direct = model.ScoreRoutes(ctx, candidates);
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const auto single = serving.ScoreRoute(score_query, candidates[c]);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      EXPECT_EQ(scored.scores[c], single.value().score) << v.name << " " << c;
+      EXPECT_EQ(scored.scores[c], direct[c]) << v.name << " " << c;
+    }
+  }
 }
 
 // Concurrent queries tripping *different* degradation axes: every result

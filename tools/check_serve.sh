@@ -7,7 +7,9 @@
 #   1. Startup health check -- `serve` must refuse (nonzero, no crash) a
 #      data dir whose network file fails its CRC, exactly like `inspect`.
 #   2. Healthy fleet -- a pipelined request stream is fully served: one
-#      tagged response per request, zero errors, clean drain on `quit`.
+#      tagged response per request, zero errors, clean drain on `quit`; and
+#      the daemon's `predict_trip K` serves the route `predict --trip K`
+#      prints, for K = 0..3.
 #   3. Chaos soak (I/O faults) -- DEEPST_FAULTS armed on infer.query under
 #      fleet load: the daemon must exit 0 (its own shutdown check fails the
 #      process on leaked session leases), some requests fail cleanly, their
@@ -119,6 +121,22 @@ if [ "$oks" -ne "$N" ] || [ "$errs" -ne 0 ]; then
 fi
 check_invariants "$WORK/healthy.err"
 echo "OK: $N/$N requests served, zero errors"
+# One request pipeline: the CLI's single query and the daemon's batch serve
+# the same route. Both index the test split as K % its size, and request K
+# of the stream above is `predict_trip K`.
+for K in 0 1 2 3; do
+  cli_route=$("$CLI" predict --data-dir "$WORK" "${DATA_FLAGS[@]}" \
+    --model "$WORK/model.bin" --trip "$K" |
+    sed -nE 's/^predicted\( *[0-9]+\): //p' | tr ' ' ',')
+  daemon_route=$(sed -nE "s/^#$K ok .*route=([0-9,]+) .*/\1/p" \
+    "$WORK/healthy.out")
+  if [ -z "$cli_route" ] || [ "$cli_route" != "$daemon_route" ]; then
+    echo "FAIL: trip $K: predict served '$cli_route'," \
+      "the daemon '$daemon_route'" >&2
+    exit 1
+  fi
+done
+echo "OK: predict --trip K and the daemon's predict_trip K agree (K = 0..3)"
 
 echo "== chaos soak: injected I/O faults under fleet load =="
 N=80
