@@ -81,6 +81,14 @@
 // (transition-memo cache entries shared across the session pool, default
 // 16384, 0 disables; hits are bitwise identical to recomputing).
 //
+// Every command that reads --data-dir also takes `--train-days N
+// --val-days N` (the split) and `--traffic-cell-m M --traffic-slot-s S
+// --traffic-window-s S` (the traffic grid and slots: finite and positive, and
+// at most geo::kMaxGridCells cells over the network).
+//
+// An option that a command does not read is an error: the command exits 1
+// naming it, before it loads or writes anything.
+//
 // Fault injection (tools/check_fault.sh, docs/robustness.md): `--faults
 // SPEC` or the DEEPST_FAULTS environment variable arms deterministic fault
 // points before the command runs. SPEC is a comma-separated list of
@@ -90,12 +98,14 @@
 // commands load them, so experiments are reproducible without regenerating.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -167,9 +177,12 @@ util::StatusOr<LoadedData> LoadData(const util::Flags& flags) {
     return util::Status::InvalidArgument("--data-dir is required");
   }
   LoadedData data;
-  auto net = roadnet::LoadRoadNetwork(dir + "/network.bin");
-  if (!net.ok()) return net.status();
-  data.net = std::move(net).value();
+  // LoadCity checks the spatial index's grid against the network's extent
+  // and adopts a v3 file's embedded index.
+  auto city = roadnet::LoadCity(dir + "/network.bin");
+  if (!city.ok()) return city.status();
+  data.net = std::move(city.value().net);
+  data.index = std::move(city.value().index);
   auto records = traj::LoadDataset(dir + "/dataset.bin");
   if (!records.ok()) return records.status();
   data.records = std::move(records).value();
@@ -185,7 +198,6 @@ util::StatusOr<LoadedData> LoadData(const util::Flags& flags) {
   data.val_days = static_cast<int>(val_days.value());
   data.split =
       traj::SplitByDay(data.records, data.train_days, data.val_days);
-  data.index = std::make_unique<roadnet::SpatialIndex>(*data.net);
 
   auto cell = flags.GetDouble("traffic-cell-m", 350.0);
   if (!cell.ok()) return cell.status();
@@ -193,9 +205,16 @@ util::StatusOr<LoadedData> LoadData(const util::Flags& flags) {
   if (!slot.ok()) return slot.status();
   auto window = flags.GetDouble("traffic-window-s", 1800.0);
   if (!window.ok()) return window.status();
-  if (slot.value() <= 0.0 || window.value() <= 0.0) {
+  if (!(std::isfinite(slot.value()) && slot.value() > 0.0 &&
+        std::isfinite(window.value()) && window.value() > 0.0)) {
     return util::Status::InvalidArgument(
-        "--traffic-slot-s and --traffic-window-s must be > 0");
+        "--traffic-slot-s and --traffic-window-s must be finite and > 0");
+  }
+  const util::Status grid_ok =
+      geo::GridSpec::Validate(data.net->bounds(), cell.value());
+  if (!grid_ok.ok()) {
+    return util::Status::InvalidArgument("--traffic-cell-m: " +
+                                         grid_ok.message());
   }
   geo::GridSpec grid(data.net->bounds(), cell.value());
   data.cache = std::make_unique<traffic::TrafficTensorCache>(
@@ -209,12 +228,21 @@ util::StatusOr<LoadedData> LoadData(const util::Flags& flags) {
 util::StatusOr<core::DeepSTConfig> ModelConfigFromFlags(
     const util::Flags& flags, const LoadedData& data) {
   core::DeepSTConfig base;
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
   auto hidden = flags.GetInt("hidden", base.gru_hidden);
   if (!hidden.ok()) return hidden.status();
+  if (hidden.value() < 1 || hidden.value() > kIntMax) {
+    return util::Status::InvalidArgument(
+        "--hidden must be an integer in [1, 2147483647]");
+  }
   base.gru_hidden = static_cast<int>(hidden.value());
   auto proxies =
       flags.GetInt("proxies", std::max(16, data.net->num_segments() / 6));
   if (!proxies.ok()) return proxies.status();
+  if (proxies.value() < 2 || proxies.value() > kIntMax) {
+    return util::Status::InvalidArgument(
+        "--proxies must be an integer in [2, 2147483647]");
+  }
   base.num_proxies = static_cast<int>(proxies.value());
 
   auto memo = flags.GetInt("memo-capacity", base.memo_cache_capacity);
@@ -1016,10 +1044,63 @@ int CmdConvert(const util::Flags& flags) {
   return Fail(city.status());
 }
 
+// A command and the options it reads. Every command also takes --threads
+// and --faults; Main rejects any other option before the command loads or
+// writes anything.
+struct Command {
+  const char* name;
+  int (*run)(const util::Flags&);
+  std::vector<std::vector<std::string>> flag_groups;
+};
+
 int Main(int argc, const char* const* argv) {
   if (argc < 2) return Usage();
+  const std::vector<std::string> data_flags = {
+      "data-dir",       "train-days",     "val-days",
+      "traffic-cell-m", "traffic-slot-s", "traffic-window-s"};
+  const std::vector<std::string> model_flags = {"model", "variant", "hidden",
+                                                "proxies", "memo-capacity"};
+  const std::vector<std::string> serving_flags = {"deadline-ms", "strict"};
+  const Command commands[] = {
+      {"generate",
+       CmdGenerate,
+       {{"out-dir", "city", "days", "trips-per-day", "seed", "format"}}},
+      {"train",
+       CmdTrain,
+       {data_flags, model_flags,
+        {"epochs", "seed", "checkpoint-dir", "checkpoint-every", "resume",
+         "shard-size"}}},
+      {"evaluate", CmdEvaluate, {data_flags, model_flags, {"max-trips"}}},
+      {"predict",
+       CmdPredict,
+       {data_flags, model_flags, serving_flags,
+        {"queries", "trip", "overlay", "map"}}},
+      {"recover",
+       CmdRecover,
+       {data_flags, model_flags, {"trip", "interval-s"}}},
+      {"serve",
+       CmdServe,
+       {data_flags, model_flags, serving_flags,
+        {"traffic-wal", "wal-fsync-bytes", "swap-interval-ms", "workers",
+         "queue-capacity", "max-batch", "batch-window-us", "retry-after-ms",
+         "watchdog-ms", "hung-ms"}}},
+      {"inspect", CmdInspect, {}},
+      {"convert", CmdConvert, {{"in", "out", "cell-size"}}},
+  };
+  const std::string name = argv[1];
+  const Command* command = nullptr;
+  for (const Command& c : commands) {
+    if (name == c.name) command = &c;
+  }
+  if (command == nullptr) return Usage();
   auto flags = util::Flags::Parse(argc - 1, argv + 1);
   if (!flags.ok()) return Fail(flags.status());
+  std::vector<std::string> known = {"threads", "faults"};
+  for (const auto& group : command->flag_groups) {
+    known.insert(known.end(), group.begin(), group.end());
+  }
+  util::Status s = flags.value().RejectUnknown(known);
+  if (!s.ok()) return Fail(s);
   auto threads = flags.value().GetInt("threads", 1);
   if (!threads.ok()) return Fail(threads.status());
   nn::SetBackendThreads(static_cast<int>(threads.value()));
@@ -1027,24 +1108,15 @@ int Main(int argc, const char* const* argv) {
   // the same process-wide injector (the flag wins on conflicting points).
   if (const char* env = std::getenv("DEEPST_FAULTS");
       env != nullptr && env[0] != '\0') {
-    util::Status s = util::FaultInjector::Instance().ArmFromSpec(env);
+    s = util::FaultInjector::Instance().ArmFromSpec(env);
     if (!s.ok()) return Fail(s);
   }
   const std::string faults = flags.value().GetString("faults");
   if (!faults.empty()) {
-    util::Status s = util::FaultInjector::Instance().ArmFromSpec(faults);
+    s = util::FaultInjector::Instance().ArmFromSpec(faults);
     if (!s.ok()) return Fail(s);
   }
-  const std::string command = argv[1];
-  if (command == "generate") return CmdGenerate(flags.value());
-  if (command == "train") return CmdTrain(flags.value());
-  if (command == "evaluate") return CmdEvaluate(flags.value());
-  if (command == "predict") return CmdPredict(flags.value());
-  if (command == "recover") return CmdRecover(flags.value());
-  if (command == "serve") return CmdServe(flags.value());
-  if (command == "inspect") return CmdInspect(flags.value());
-  if (command == "convert") return CmdConvert(flags.value());
-  return Usage();
+  return command->run(flags.value());
 }
 
 }  // namespace

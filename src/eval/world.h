@@ -47,7 +47,7 @@ WorldConfig HarbinMiniWorld(double scale = 1.0);
 
 // Full-scale city (> 100k segments; see ChengduFullCityConfig). Trip counts
 // stay modest by default -- the point of this world is the network scale,
-// which exercises the mmap v3 format and tile-sharded spatial serving.
+// which exercises the mmap v3 format and the spatial index at scale.
 // Constructing the World still generates trips over the whole city; for
 // network-only workloads build the city directly via BuildChengduFull.
 WorldConfig ChengduFullWorld(double scale = 1.0);

@@ -4,9 +4,14 @@
 #include <cstdint>
 
 #include "geo/point.h"
+#include "util/status.h"
 
 namespace deepst {
 namespace geo {
+
+// Most cells a grid may have. At this cap a spatial index's cell offsets and
+// one traffic tensor take 32 MiB each, and rows * cols fits an int.
+constexpr int64_t kMaxGridCells = int64_t{1} << 22;
 
 // Uniform cell partition of a bounding box, used by (a) the traffic tensor
 // builder (the paper partitions the city into cells of 100-200 m and
@@ -14,7 +19,14 @@ namespace geo {
 // spatial index.
 class GridSpec {
  public:
+  // Checks a grid sized by outside input (a loaded network's extent, a cell
+  // size from a flag or a file header) before it is built: InvalidArgument
+  // when `cell_size` is not finite and positive, or when the grid would have
+  // more than kMaxGridCells cells.
+  static util::Status Validate(const BoundingBox& box, double cell_size);
+
   // Builds a grid covering `box` with square cells of `cell_size` meters.
+  // Aborts where Validate returns an error.
   GridSpec(const BoundingBox& box, double cell_size);
 
   int rows() const { return rows_; }

@@ -324,12 +324,14 @@ util::Status LoadV3(std::shared_ptr<util::MappedFile> file,
   net->AdoptFlatStorage(refs, file);
 
   if ((hdr.flags & kFlagSpatialIndex) != 0) {
-    if (!(hdr.spatial_cell_size_m > 0.0) ||
-        !std::isfinite(hdr.spatial_cell_size_m)) {
-      return util::Status::InvalidArgument("bad spatial cell size in " + path);
+    const geo::BoundingBox box = SpatialIndexPaddedBounds(*net);
+    const util::Status valid =
+        geo::GridSpec::Validate(box, hdr.spatial_cell_size_m);
+    if (!valid.ok()) {
+      return util::Status::InvalidArgument("bad spatial index in " + path +
+                                           ": " + valid.message());
     }
-    const geo::GridSpec grid(SpatialIndexPaddedBounds(*net),
-                             hdr.spatial_cell_size_m);
+    const geo::GridSpec grid(box, hdr.spatial_cell_size_m);
     const uint64_t nc = static_cast<uint64_t>(grid.num_cells());
     const uint64_t* cell_off = nullptr;
     DEEPST_RETURN_IF_ERROR(map.View(kSecCellOff, nc + 1, &cell_off));
@@ -506,6 +508,12 @@ util::StatusOr<LoadedCity> LoadCity(const std::string& path,
   SpatialSections spatial;
   std::shared_ptr<util::MappedFile> file;
   DEEPST_RETURN_IF_ERROR(LoadAnyVersion(path, &city, &spatial, &file));
+  const util::Status valid = geo::GridSpec::Validate(
+      SpatialIndexPaddedBounds(*city.net), cell_size_m);
+  if (!valid.ok()) {
+    return util::Status::InvalidArgument("spatial index for " + path + ": " +
+                                         valid.message());
+  }
   if (spatial.present && spatial.cell_size_m == cell_size_m) {
     city.index = std::make_unique<SpatialIndex>(
         *city.net, spatial.cell_size_m, spatial.cell_off, spatial.cell_ids,

@@ -44,7 +44,10 @@ struct LoadedCity {
 // Loads the network and a spatial index with `cell_size_m` cells. If the
 // file is v3 and embeds a spatial CSR with the same cell size, the index is
 // adopted zero-copy from the mapping; otherwise it is built from the loaded
-// network.
+// network. A grid that fails geo::GridSpec::Validate -- a cell size that is
+// not finite and positive, or more than geo::kMaxGridCells cells over the
+// network's extent -- is InvalidArgument, for the requested and for an
+// embedded index alike.
 util::StatusOr<LoadedCity> LoadCity(const std::string& path,
                                     double cell_size_m = 250.0);
 

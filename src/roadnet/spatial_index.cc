@@ -45,7 +45,7 @@ geo::BoundingBox SpatialIndexPaddedBounds(const RoadNetwork& net) {
   return box;
 }
 
-void SpatialIndexBase::CollectRing(const geo::Point& p, int ring,
+void SpatialIndex::CollectRing(const geo::Point& p, int ring,
                                    std::vector<SegmentCandidate>* out) const {
   const int pr = grid_.RowOf(p);
   const int pc = grid_.ColOf(p);
@@ -64,7 +64,7 @@ void SpatialIndexBase::CollectRing(const geo::Point& p, int ring,
   }
 }
 
-std::vector<SegmentCandidate> SpatialIndexBase::SegmentsNear(
+std::vector<SegmentCandidate> SpatialIndex::SegmentsNear(
     const geo::Point& p, double radius_m) const {
   const int max_ring =
       static_cast<int>(radius_m / grid_.cell_size()) + 1;
@@ -88,7 +88,7 @@ std::vector<SegmentCandidate> SpatialIndexBase::SegmentsNear(
   return out;
 }
 
-std::vector<SegmentCandidate> SpatialIndexBase::NearestSegments(
+std::vector<SegmentCandidate> SpatialIndex::NearestSegments(
     const geo::Point& p, int k) const {
   DEEPST_CHECK_GE(k, 1);
   std::unordered_set<SegmentId> seen;
@@ -121,15 +121,14 @@ std::vector<SegmentCandidate> SpatialIndexBase::NearestSegments(
   return out;
 }
 
-SegmentCandidate SpatialIndexBase::Nearest(const geo::Point& p) const {
+SegmentCandidate SpatialIndex::Nearest(const geo::Point& p) const {
   auto v = NearestSegments(p, 1);
   if (v.empty()) return {};
   return v.front();
 }
 
 SpatialIndex::SpatialIndex(const RoadNetwork& net, double cell_size_m)
-    : SpatialIndexBase(
-          net, geo::GridSpec(SpatialIndexPaddedBounds(net), cell_size_m)) {
+    : net_(net), grid_(SpatialIndexPaddedBounds(net), cell_size_m) {
   DEEPST_CHECK(net.finalized());
   const size_t nc = static_cast<size_t>(grid_.num_cells());
   // Two-pass CSR build: count, prefix-sum, fill. Filling with s ascending
@@ -158,8 +157,7 @@ SpatialIndex::SpatialIndex(const RoadNetwork& net, double cell_size_m)
 SpatialIndex::SpatialIndex(const RoadNetwork& net, double cell_size_m,
                            const uint64_t* cell_off, const SegmentId* cell_ids,
                            std::shared_ptr<const void> backing)
-    : SpatialIndexBase(
-          net, geo::GridSpec(SpatialIndexPaddedBounds(net), cell_size_m)) {
+    : net_(net), grid_(SpatialIndexPaddedBounds(net), cell_size_m) {
   DEEPST_CHECK(net.finalized());
   const size_t nc = static_cast<size_t>(grid_.num_cells());
   cell_off_.Adopt(cell_off, nc + 1);
@@ -171,52 +169,6 @@ util::Span<SegmentId> SpatialIndex::CellSegments(int row, int col) const {
   const size_t cell = static_cast<size_t>(row) * grid_.cols() + col;
   return util::Span<SegmentId>(cell_ids_.data() + cell_off_[cell],
                                cell_off_[cell + 1] - cell_off_[cell]);
-}
-
-ShardedSpatialIndex::ShardedSpatialIndex(const RoadNetwork& net,
-                                         double cell_size_m, int target_shards)
-    : SpatialIndexBase(
-          net, geo::GridSpec(SpatialIndexPaddedBounds(net), cell_size_m)),
-      router_(grid_, target_shards) {
-  DEEPST_CHECK(net.finalized());
-  shards_.resize(static_cast<size_t>(router_.num_shards()));
-  for (int sh = 0; sh < router_.num_shards(); ++sh) {
-    shards_[sh].cell_off.assign(
-        static_cast<size_t>(router_.RangeOf(sh).num_cells()) + 1, 0);
-  }
-  for (SegmentId s = 0; s < net.num_segments(); ++s) {
-    ForEachCoveredCell(net, grid_, s, [&](int r, int c) {
-      const int sh = router_.ShardOfCell(r, c);
-      ++shards_[sh].cell_off[static_cast<size_t>(
-                                 router_.LocalCell(sh, r, c)) +
-                             1];
-    });
-  }
-  std::vector<std::vector<uint64_t>> cursors(shards_.size());
-  for (size_t sh = 0; sh < shards_.size(); ++sh) {
-    auto& off = shards_[sh].cell_off;
-    for (size_t cell = 0; cell + 1 < off.size(); ++cell) {
-      off[cell + 1] += off[cell];
-    }
-    shards_[sh].cell_ids.resize(off.back());
-    cursors[sh].assign(off.begin(), off.end() - 1);
-  }
-  for (SegmentId s = 0; s < net.num_segments(); ++s) {
-    ForEachCoveredCell(net, grid_, s, [&](int r, int c) {
-      const int sh = router_.ShardOfCell(r, c);
-      shards_[sh].cell_ids[cursors[sh][router_.LocalCell(sh, r, c)]++] = s;
-    });
-  }
-}
-
-util::Span<SegmentId> ShardedSpatialIndex::CellSegments(int row,
-                                                        int col) const {
-  const int sh = router_.ShardOfCell(row, col);
-  const Shard& shard = shards_[sh];
-  const size_t local = static_cast<size_t>(router_.LocalCell(sh, row, col));
-  return util::Span<SegmentId>(shard.cell_ids.data() + shard.cell_off[local],
-                               shard.cell_off[local + 1] -
-                                   shard.cell_off[local]);
 }
 
 }  // namespace roadnet

@@ -1,11 +1,11 @@
 #ifndef DEEPST_ROADNET_SPATIAL_INDEX_H_
 #define DEEPST_ROADNET_SPATIAL_INDEX_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "geo/grid.h"
-#include "geo/tile_router.h"
 #include "roadnet/road_network.h"
 #include "util/span.h"
 
@@ -18,17 +18,35 @@ struct SegmentCandidate {
   geo::Projection projection;  // projection of the query point
 };
 
-// Query engine shared by every spatial-index storage layout. Subclasses only
-// provide per-cell segment lists; because ring iteration and tie handling
-// live here, two layouts that serve identical per-cell contents return
-// bitwise-identical candidates.
+// Grid bounds of the index: network bounds padded by 1 m against degenerate
+// boxes. The format-v3 loader recomputes the identical grid from the mapped
+// vertices, so a precomputed CSR stays valid.
+geo::BoundingBox SpatialIndexPaddedBounds(const RoadNetwork& net);
+
+// Uniform-grid index over segment polylines, used by map matching (candidate
+// generation) and destination snapping (WSP baseline, stop model). Each
+// segment is registered in every cell its polyline's bounding box overlaps.
 //
-// Used by map matching (candidate generation) and destination snapping (WSP
-// baseline, stop model). Each segment is registered in every cell its
-// polyline's bounding box overlaps.
-class SpatialIndexBase {
+// One layout, a flat CSR: the segment ids of cell c live at
+// ids[off[c], off[c+1]), ascending. The two arrays are either built here or
+// adopted zero-copy from an mmap'ed format-v3 file (docs/formats.md). Both
+// hold the same per-cell lists, and every query walks them in the same ring
+// order, so a built and an adopted index answer bitwise identically, tie
+// order included.
+//
+// The grid over SpatialIndexPaddedBounds(net) must pass
+// geo::GridSpec::Validate; LoadCity checks it for networks read from files.
+class SpatialIndex {
  public:
-  virtual ~SpatialIndexBase() = default;
+  explicit SpatialIndex(const RoadNetwork& net, double cell_size_m = 250.0);
+
+  // Zero-copy layout: adopts a precomputed CSR. `cell_off` has
+  // grid.num_cells() + 1 entries and `cell_ids` has cell_off[num_cells]
+  // entries; `backing` (the mapped file) is held alive. The caller (the v3
+  // loader) validates shape before constructing.
+  SpatialIndex(const RoadNetwork& net, double cell_size_m,
+               const uint64_t* cell_off, const SegmentId* cell_ids,
+               std::shared_ptr<const void> backing);
 
   // Segments whose projection distance to `p` is <= radius_m, sorted by
   // ascending distance.
@@ -44,82 +62,23 @@ class SpatialIndexBase {
 
   const geo::GridSpec& grid() const { return grid_; }
 
- protected:
-  SpatialIndexBase(const RoadNetwork& net, geo::GridSpec grid)
-      : net_(net), grid_(grid) {}
-
-  // Segment ids registered in flat cell `row * cols + col`.
-  virtual util::Span<SegmentId> CellSegments(int row, int col) const = 0;
-
-  const RoadNetwork& net_;
-  geo::GridSpec grid_;
-
- private:
-  void CollectRing(const geo::Point& p, int ring,
-                   std::vector<SegmentCandidate>* out) const;
-};
-
-// Grid bounds used by every index layout: network bounds padded by 1 m
-// against degenerate boxes. The format-v3 loader recomputes the identical
-// grid from the mapped vertices, so a precomputed CSR stays valid.
-geo::BoundingBox SpatialIndexPaddedBounds(const RoadNetwork& net);
-
-// Flat CSR layout: segment ids of cell c live at ids[off[c], off[c+1]),
-// ascending. The two arrays are either built here or adopted zero-copy from
-// an mmap'ed format-v3 file (docs/formats.md).
-class SpatialIndex : public SpatialIndexBase {
- public:
-  explicit SpatialIndex(const RoadNetwork& net, double cell_size_m = 250.0);
-
-  // Zero-copy layout: adopts a precomputed CSR. `cell_off` has
-  // grid.num_cells() + 1 entries and `cell_ids` has cell_off[num_cells]
-  // entries; `backing` (the mapped file) is held alive. The caller (the v3
-  // loader) validates shape before constructing.
-  SpatialIndex(const RoadNetwork& net, double cell_size_m,
-               const uint64_t* cell_off, const SegmentId* cell_ids,
-               std::shared_ptr<const void> backing);
-
   // -- Raw flat sections (format-v3 writer, docs/formats.md) -----------------
   util::Span<uint64_t> cell_offsets_span() const { return cell_off_.span(); }
   util::Span<SegmentId> cell_ids_span() const { return cell_ids_.span(); }
   double cell_size() const { return grid_.cell_size(); }
   bool zero_copy() const { return backing_ != nullptr; }
 
- protected:
-  util::Span<SegmentId> CellSegments(int row, int col) const override;
-
  private:
+  // Segment ids registered in cell (row, col), ascending.
+  util::Span<SegmentId> CellSegments(int row, int col) const;
+  void CollectRing(const geo::Point& p, int ring,
+                   std::vector<SegmentCandidate>* out) const;
+
+  const RoadNetwork& net_;
+  geo::GridSpec grid_;
   util::ArrayView<uint64_t> cell_off_;  // num_cells + 1
   util::ArrayView<SegmentId> cell_ids_;
   std::shared_ptr<const void> backing_;
-};
-
-// Tile-sharded layout: the same global grid, with per-cell lists partitioned
-// into region tiles (geo::TileRouter). A lookup routes to the single shard
-// owning the touched cell, so concurrent serving traffic on different city
-// regions stays on disjoint arrays. Per-cell contents and order match
-// SpatialIndex exactly, hence identical query results.
-class ShardedSpatialIndex : public SpatialIndexBase {
- public:
-  ShardedSpatialIndex(const RoadNetwork& net, double cell_size_m = 250.0,
-                      int target_shards = 16);
-
-  int num_shards() const { return router_.num_shards(); }
-  // Shard that queries at `p` route to.
-  int ShardOf(const geo::Point& p) const { return router_.ShardOf(p); }
-  const geo::TileRouter& router() const { return router_; }
-
- protected:
-  util::Span<SegmentId> CellSegments(int row, int col) const override;
-
- private:
-  struct Shard {
-    std::vector<uint64_t> cell_off;  // local cells + 1
-    std::vector<SegmentId> cell_ids;
-  };
-
-  geo::TileRouter router_;
-  std::vector<Shard> shards_;
 };
 
 }  // namespace roadnet

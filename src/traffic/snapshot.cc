@@ -54,14 +54,10 @@ nn::Tensor TrafficTensorBuilder::Build(
 
 TrafficTensorCache::TrafficTensorCache(const geo::GridSpec& grid,
                                        double slot_seconds,
-                                       double window_seconds,
-                                       double speed_norm_mps,
-                                       int target_shards)
-    : builder_(grid, speed_norm_mps),
+                                       double window_seconds)
+    : builder_(grid),
       slot_seconds_(slot_seconds),
-      window_seconds_(window_seconds),
-      router_(grid, target_shards),
-      shards_(static_cast<size_t>(router_.num_shards())) {
+      window_seconds_(window_seconds) {
   DEEPST_CHECK_GT(slot_seconds, 0.0);
   DEEPST_CHECK_GT(window_seconds, 0.0);
 }
@@ -71,8 +67,7 @@ TrafficTensorCache::TrafficTensorCache(const TrafficTensorCache& other,
     : builder_(other.builder_),
       slot_seconds_(other.slot_seconds_),
       window_seconds_(other.window_seconds_),
-      router_(other.router_),
-      shards_(other.shards_),
+      buckets_(other.buckets_),
       latest_time_(other.latest_time_) {}
 
 std::unique_ptr<TrafficTensorCache> TrafficTensorCache::Clone() const {
@@ -83,39 +78,26 @@ std::unique_ptr<TrafficTensorCache> TrafficTensorCache::Clone() const {
 void TrafficTensorCache::AddObservations(
     const std::vector<SpeedObservation>& observations) {
   if (observations.empty()) return;
-  // Route every observation to (shard, slot), then stable-sort the keys so
-  // each touched bucket gets one reserve and one contiguous append.
-  // Stability keeps arrival order inside a bucket -- the accumulation order
-  // the tensors are built in.
-  std::vector<std::pair<uint64_t, uint32_t>> keyed;
+  // Sort (slot, arrival index) pairs so each touched bucket gets one reserve
+  // and one contiguous append. The index keeps arrival order inside a
+  // bucket -- the accumulation order the tensors are built in.
+  std::vector<std::pair<int, uint32_t>> keyed;
   keyed.reserve(observations.size());
   for (uint32_t i = 0; i < observations.size(); ++i) {
-    const auto& obs = observations[i];
-    const uint64_t shard =
-        static_cast<uint64_t>(router_.ShardOf(obs.pos));
-    // Order-preserving mapping of the (possibly negative) slot index.
-    const uint32_t slot_key =
-        static_cast<uint32_t>(SlotOf(obs.time_s)) ^ 0x80000000u;
-    keyed.emplace_back((shard << 32) | slot_key, i);
-    latest_time_ = std::max(latest_time_, obs.time_s);
+    keyed.emplace_back(SlotOf(observations[i].time_s), i);
+    latest_time_ = std::max(latest_time_, observations[i].time_s);
   }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const std::pair<uint64_t, uint32_t>& a,
-                      const std::pair<uint64_t, uint32_t>& b) {
-                     return a.first < b.first;
-                   });
+  std::sort(keyed.begin(), keyed.end());
   size_t i = 0;
   while (i < keyed.size()) {
+    const int slot = keyed[i].first;
     size_t j = i;
-    while (j < keyed.size() && keyed[j].first == keyed[i].first) ++j;
-    const int shard = static_cast<int>(keyed[i].first >> 32);
-    const int slot = SlotOf(observations[keyed[i].second].time_s);
-    auto& buckets = shards_[static_cast<size_t>(shard)].buckets;
+    while (j < keyed.size() && keyed[j].first == slot) ++j;
     auto it = std::lower_bound(
-        buckets.begin(), buckets.end(), slot,
+        buckets_.begin(), buckets_.end(), slot,
         [](const SlotBucket& b, int s) { return b.slot < s; });
-    if (it == buckets.end() || it->slot != slot) {
-      it = buckets.insert(it, SlotBucket{slot, {}});
+    if (it == buckets_.end() || it->slot != slot) {
+      it = buckets_.insert(it, SlotBucket{slot, {}});
     }
     it->obs.reserve(it->obs.size() + (j - i));
     for (size_t k = i; k < j; ++k) {
@@ -132,14 +114,12 @@ void TrafficTensorCache::ForEachInWindow(double window_start,
                                          double window_end, Fn&& fn) const {
   const int first_slot = SlotOf(std::max(0.0, window_start));
   const int last_slot = SlotOf(window_end);
-  for (const Shard& shard : shards_) {
-    auto it = std::lower_bound(
-        shard.buckets.begin(), shard.buckets.end(), first_slot,
-        [](const SlotBucket& b, int s) { return b.slot < s; });
-    for (; it != shard.buckets.end() && it->slot <= last_slot; ++it) {
-      for (const auto& obs : it->obs) {
-        if (obs.time_s >= window_start && obs.time_s < window_end) fn(obs);
-      }
+  auto it = std::lower_bound(
+      buckets_.begin(), buckets_.end(), first_slot,
+      [](const SlotBucket& b, int s) { return b.slot < s; });
+  for (; it != buckets_.end() && it->slot <= last_slot; ++it) {
+    for (const auto& obs : it->obs) {
+      if (obs.time_s >= window_start && obs.time_s < window_end) fn(obs);
     }
   }
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "geo/grid.h"
-#include "geo/tile_router.h"
 #include "nn/tensor.h"
 #include "util/status.h"
 
@@ -51,13 +50,13 @@ class TrafficTensorBuilder {
 // time falls into the slot (paper Section IV-D: "discretize the temporal
 // dimension into slots and let the trips whose start times fall into the
 // same slot share one C"). Observations must be added before querying.
-// Observation storage is sharded by region tile (geo::TileRouter over the
-// traffic grid): each shard holds a flat vector of slot buckets sorted by
-// slot index, looked up by binary search. Ingestion routes every observation
-// to its tile's shard -- shard-affine routing -- and bulk-reserves each
-// touched bucket once. Because a grid cell belongs to exactly one tile, the
-// per-cell accumulation order (and hence every tensor, bit for bit) is
-// independent of the sharding.
+//
+// One layout: a vector of slot buckets sorted by slot index, each holding
+// its slot's observations in arrival order; lookups binary-search it. The
+// bucket order is the accumulation order: a window's tensor sums every
+// cell's observations slot by slot, in arrival order within a slot, so the
+// same observations give the same tensor, bit for bit, however they were
+// batched.
 //
 // Thread-safety contract: AddObservations is the only mutator and must not
 // run concurrently with anything else on the same instance. Once ingestion
@@ -70,8 +69,7 @@ class TrafficTensorBuilder {
 class TrafficTensorCache {
  public:
   TrafficTensorCache(const geo::GridSpec& grid, double slot_seconds,
-                     double window_seconds, double speed_norm_mps = 20.0,
-                     int target_shards = 16);
+                     double window_seconds);
 
   // Registers probe observations (any order). Mutator: must be externally
   // serialized against all other calls (see the class contract above).
@@ -84,7 +82,7 @@ class TrafficTensorCache {
   // rebuilds the same snapshot.
   void AddObservations(const std::vector<SpeedObservation>& observations);
 
-  // Deep copy of the observation store (shards + latest time). The clone's
+  // Deep copy of the observation store (buckets + latest time). The clone's
   // lazy tensor cache starts empty; tensors built from it are bit-identical
   // to the source's. The double-buffered swap folds new observations into a
   // clone so the published generation is never touched.
@@ -112,35 +110,27 @@ class TrafficTensorCache {
   int rows() const { return builder_.grid().rows(); }
   int cols() const { return builder_.grid().cols(); }
 
-  int num_shards() const { return router_.num_shards(); }
-  // Shard that observations (and per-region lookups) at `p` route to.
-  int ShardOf(const geo::Point& p) const { return router_.ShardOf(p); }
-
  private:
   // Clone() constructor: copies the observation store, starts with an empty
   // tensor cache (mutexes are not copyable, and clones rebuild lazily).
   struct CloneTag {};
   TrafficTensorCache(const TrafficTensorCache& other, CloneTag);
 
-  // One time slot's observations within a shard, in arrival order.
+  // One time slot's observations, in arrival order.
   struct SlotBucket {
     int slot = 0;
     std::vector<SpeedObservation> obs;
   };
-  struct Shard {
-    std::vector<SlotBucket> buckets;  // sorted by slot
-  };
 
   // Calls fn(obs) for every stored observation with time in
-  // [window_start, window_end), shard by shard, slots ascending.
+  // [window_start, window_end), slots ascending.
   template <typename Fn>
   void ForEachInWindow(double window_start, double window_end, Fn&& fn) const;
 
   TrafficTensorBuilder builder_;
   double slot_seconds_;
   double window_seconds_;
-  geo::TileRouter router_;
-  std::vector<Shard> shards_;
+  std::vector<SlotBucket> buckets_;  // sorted by slot
   double latest_time_ = -1e300;
   // Guards cache_ (lazily grown; node-based, so returned references stay
   // valid across later insertions).

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace deepst {
@@ -72,11 +73,13 @@ bool Flags::GetBool(const std::string& name, bool default_value) const {
   return it->second != "false" && it->second != "0";
 }
 
-std::vector<std::string> Flags::Names() const {
-  std::vector<std::string> names;
-  names.reserve(values_.size());
-  for (const auto& [k, v] : values_) names.push_back(k);
-  return names;
+Status Flags::RejectUnknown(const std::vector<std::string>& known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace util

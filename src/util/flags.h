@@ -11,8 +11,9 @@ namespace deepst {
 namespace util {
 
 // Minimal command-line parser for the CLI tools: positional arguments plus
-// --key=value / --key value / --bool-flag options. No registration step --
-// callers query by name with typed getters and defaults.
+// --key=value / --key value / --bool-flag options. Callers query by name with
+// typed getters and defaults, and list the names they read in RejectUnknown
+// so that a misspelt option fails instead of silently taking its default.
 class Flags {
  public:
   // Parses argv[1..); returns an error for malformed options (an option
@@ -33,8 +34,9 @@ class Flags {
                              double default_value) const;
   bool GetBool(const std::string& name, bool default_value = false) const;
 
-  // Names seen on the command line (for unknown-flag diagnostics).
-  std::vector<std::string> Names() const;
+  // InvalidArgument naming the first option (in name order) that is not in
+  // `known`; Ok when every option is. Positional arguments are not checked.
+  Status RejectUnknown(const std::vector<std::string>& known) const;
 
  private:
   std::map<std::string, std::string> values_;

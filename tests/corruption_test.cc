@@ -435,6 +435,63 @@ TEST(FormatV3CorpusTest, MmapFaultFallsBackToBufferedLoad) {
   }
 }
 
+// -- Grid guard ----------------------------------------------------------------
+// A grid's size comes from a file's vertex extent and a cell size. Every grid
+// built from them passes geo::GridSpec::Validate first, so a valid file or a
+// bad cell size cannot ask for billions of cells or wrap the int cell count.
+
+TEST(GridGuardTest, CityBeyondTheCellCapIsInvalidArgument) {
+  // Three vertices 16,384,100 m apart: a 250 m grid of 65,537 x 65,537
+  // cells, whose int cell count would wrap to 131,073.
+  roadnet::RoadNetwork net;
+  net.AddVertex({0.0, 0.0});
+  net.AddVertex({16384100.0, 0.0});
+  net.AddVertex({16384100.0, 16384100.0});
+  net.AddSegment(0, 1, 13.9);
+  net.AddSegment(1, 2, 13.9);
+  net.Finalize();
+  const std::string path = TempPath("huge_city_v3.bin");
+  ASSERT_TRUE(roadnet::SaveRoadNetworkV3(net, path).ok());
+  ASSERT_TRUE(roadnet::LoadRoadNetwork(path).ok());  // the file is valid
+  auto city = roadnet::LoadCity(path);
+  ASSERT_FALSE(city.ok());
+  EXPECT_EQ(city.status().code(), util::Status::Code::kInvalidArgument)
+      << city.status().ToString();
+}
+
+TEST(GridGuardTest, NonPositiveOrNonFiniteCellSizeIsInvalidArgument) {
+  const std::string path = SaveTinyNetworkV3("grid_cell_size.bin");
+  ASSERT_TRUE(roadnet::LoadCity(path, 250.0).ok());
+  for (double cell : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    auto city = roadnet::LoadCity(path, cell);
+    ASSERT_FALSE(city.ok()) << cell;
+    EXPECT_EQ(city.status().code(), util::Status::Code::kInvalidArgument)
+        << cell << ": " << city.status().ToString();
+  }
+}
+
+TEST(GridGuardTest, EmbeddedIndexWithTinyCellsIsRejected) {
+  std::string bytes = ReadFile(SaveTinyNetworkV3("grid_embedded.bin"));
+  // The embedded index's cell size sits at header bytes [40, 48). At 1e-3 m
+  // the 502 m padded extent needs 2.5e11 cells. The CRC is re-sealed, so
+  // only the grid guard can reject the file.
+  ASSERT_GT(bytes.size(), 48u + util::kFooterBytes);
+  const double tiny = 1e-3;
+  std::memcpy(bytes.data() + 40, &tiny, sizeof(tiny));
+  const uint32_t crc =
+      util::Crc32(bytes.data(), bytes.size() - util::kFooterBytes);
+  std::memcpy(bytes.data() + bytes.size() - util::kFooterBytes, &crc,
+              sizeof(crc));
+  const std::string bad_path = TempPath("grid_embedded_case.bin");
+  WriteFile(bad_path, bytes);
+  auto city = roadnet::LoadCity(bad_path);
+  ASSERT_FALSE(city.ok());
+  EXPECT_EQ(city.status().code(), util::Status::Code::kInvalidArgument)
+      << city.status().ToString();
+  EXPECT_FALSE(roadnet::LoadRoadNetwork(bad_path).ok());
+}
+
 TEST(TrajCorpusTest, RoundTripSurvives) {
   const roadnet::RoadNetwork net = MakeTinyNetwork();
   const auto records = MakeTinyDataset(net);

@@ -77,8 +77,8 @@ void ExpectSameTopology(const roadnet::RoadNetwork& a,
   }
 }
 
-void ExpectSameQueries(const roadnet::SpatialIndexBase& a,
-                       const roadnet::SpatialIndexBase& b,
+void ExpectSameQueries(const roadnet::SpatialIndex& a,
+                       const roadnet::SpatialIndex& b,
                        const geo::BoundingBox& box) {
   util::Rng rng(9);
   for (int i = 0; i < 100; ++i) {

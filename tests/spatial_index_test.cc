@@ -1,7 +1,7 @@
-// SpatialIndex edge cases and cross-layout parity (ISSUE 6): empty
-// networks, queries far outside the grid, exact-tie handling, and the
-// guarantee that the CSR, tile-sharded and zero-copy (format-v3 adopted)
-// layouts answer every query bitwise identically.
+// SpatialIndex edge cases and build/adopt parity: empty networks, queries
+// far outside the grid, exact-tie handling, and the guarantee that an index
+// built from a network and one adopted zero-copy from a format-v3 file answer
+// every query bitwise identically.
 
 #include <gtest/gtest.h>
 
@@ -38,10 +38,6 @@ TEST(SpatialIndexEdgeTest, EmptyNetworkYieldsNoCandidates) {
   EXPECT_EQ(index.Nearest({0.0, 0.0}).segment, roadnet::kInvalidSegment);
   EXPECT_TRUE(index.SegmentsNear({3.0, 4.0}, 1000.0).empty());
   EXPECT_TRUE(index.NearestSegments({-50.0, 7.0}, 5).empty());
-
-  const roadnet::ShardedSpatialIndex sharded(net);
-  EXPECT_EQ(sharded.Nearest({0.0, 0.0}).segment, roadnet::kInvalidSegment);
-  EXPECT_TRUE(sharded.NearestSegments({0.0, 0.0}, 3).empty());
 }
 
 TEST(SpatialIndexEdgeTest, FarOutsideQueryStillFindsTrueNearest) {
@@ -70,7 +66,7 @@ TEST(SpatialIndexEdgeTest, ExactTiesAreReturnedDeterministically) {
   const roadnet::SpatialIndex index(net, /*cell_size_m=*/50.0);
   // Equidistant from both streets: a 2-NN query must return both, with
   // exactly equal distances, in an order that is stable across repeated
-  // queries and across storage layouts.
+  // queries.
   const geo::Point mid{100.0, 50.0};
   const auto a = index.NearestSegments(mid, 2);
   ASSERT_EQ(a.size(), 2u);
@@ -79,13 +75,9 @@ TEST(SpatialIndexEdgeTest, ExactTiesAreReturnedDeterministically) {
   EXPECT_NE(a[0].segment, a[1].segment);
 
   const auto again = index.NearestSegments(mid, 2);
-  const roadnet::ShardedSpatialIndex sharded(net, 50.0, /*target_shards=*/4);
-  const auto b = sharded.NearestSegments(mid, 2);
   ASSERT_EQ(again.size(), 2u);
-  ASSERT_EQ(b.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(a[i].segment, again[i].segment);
-    EXPECT_EQ(a[i].segment, b[i].segment);
   }
 }
 
@@ -107,15 +99,13 @@ TEST(SpatialIndexEdgeTest, RingExpansionPastEmptyCellsFindsFarSegment) {
   EXPECT_EQ(got[1].segment, 1);
 }
 
-// CSR vs tile-sharded vs zero-copy-adopted: every layout serves identical
-// per-cell lists, so query results must match bitwise (ids and projection
-// distances), including tie ordering.
+// Built vs zero-copy-adopted: both serve identical per-cell lists, so query
+// results must match bitwise (ids and projection distances), including tie
+// ordering.
 TEST(SpatialIndexParityTest, AllLayoutsAnswerBitwiseIdentically) {
   const auto net = roadnet::BuildGridCity(roadnet::ChengduMiniConfig());
   const double kCell = 250.0;
   const roadnet::SpatialIndex csr(*net, kCell);
-  const roadnet::ShardedSpatialIndex sharded(*net, kCell,
-                                             /*target_shards=*/8);
 
   const std::string path = testing::TempDir() + "/deepst_sidx_parity.bin";
   ASSERT_TRUE(roadnet::SaveRoadNetworkV3(*net, path, &csr).ok());
@@ -131,23 +121,16 @@ TEST(SpatialIndexParityTest, AllLayoutsAnswerBitwiseIdentically) {
     const geo::Point p{rng.Uniform(box.min.x - margin, box.max.x + margin),
                        rng.Uniform(box.min.y - margin, box.max.y + margin)};
     const auto a = csr.NearestSegments(p, 4);
-    const auto b = sharded.NearestSegments(p, 4);
     const auto c = city.value().index->NearestSegments(p, 4);
-    ASSERT_EQ(a.size(), b.size()) << i;
     ASSERT_EQ(a.size(), c.size()) << i;
     for (size_t j = 0; j < a.size(); ++j) {
-      EXPECT_EQ(a[j].segment, b[j].segment) << i;
       EXPECT_EQ(a[j].segment, c[j].segment) << i;
-      EXPECT_EQ(a[j].projection.distance, b[j].projection.distance) << i;
       EXPECT_EQ(a[j].projection.distance, c[j].projection.distance) << i;
     }
     const auto ra = csr.SegmentsNear(p, 400.0);
-    const auto rb = sharded.SegmentsNear(p, 400.0);
     const auto rc = city.value().index->SegmentsNear(p, 400.0);
-    ASSERT_EQ(ra.size(), rb.size()) << i;
     ASSERT_EQ(ra.size(), rc.size()) << i;
     for (size_t j = 0; j < ra.size(); ++j) {
-      EXPECT_EQ(ra[j].segment, rb[j].segment) << i;
       EXPECT_EQ(ra[j].segment, rc[j].segment) << i;
     }
   }

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "roadnet/grid_city.h"
 #include "traffic/congestion_field.h"
 #include "traffic/snapshot.h"
+#include "traj/generator.h"
+#include "util/rng.h"
 
 namespace deepst {
 namespace traffic {
@@ -250,6 +254,91 @@ TEST(TrafficTensorCacheTest, ConcurrentReadersAreSafe) {
   for (int w = 1; w < kThreads; ++w) {
     EXPECT_DOUBLE_EQ(sums[0], sums[static_cast<size_t>(w)]);
   }
+}
+
+// Reference check for the cache's bucket store. Whatever order and batches
+// observations arrive in, each slot's tensor must equal
+// TrafficTensorBuilder::Build over that slot's window, with the window's
+// observations stably sorted by slot: the accumulation order the cache
+// documents.
+TEST(TrafficTensorCacheTest, EveryWindowMatchesTheBuilderReference) {
+  auto net = SmallCity();
+  CongestionField field(*net, {});
+  traj::GeneratorConfig gen_cfg;
+  gen_cfg.num_days = 2;
+  gen_cfg.trips_per_day = 30;
+  gen_cfg.seed = 11;
+  traj::TripGenerator gen(*net, field, gen_cfg);
+  std::vector<SpeedObservation> obs =
+      traj::CollectObservations(gen.GenerateDataset());
+  ASSERT_GT(obs.size(), 500u);
+  util::Rng rng(17);
+  rng.Shuffle(&obs);
+
+  constexpr double kSlot = 1200.0;
+  constexpr double kWindow = 1800.0;
+  const geo::GridSpec grid(net->bounds(), 300.0);
+  const TrafficTensorBuilder builder(grid);
+  const std::vector<SpeedObservation> last(obs.end() - obs.size() / 7,
+                                           obs.end());
+  obs.resize(obs.size() - last.size());
+
+  // The shuffle must make some cell's observations arrive out of slot order.
+  bool out_of_order = false;
+  std::map<int, int> latest_slot;  // cell -> highest slot seen so far
+  for (const auto& o : obs) {
+    const int slot = static_cast<int>(o.time_s / kSlot);
+    auto [it, fresh] = latest_slot.emplace(grid.CellOf(o.pos), slot);
+    if (!fresh && slot < it->second) out_of_order = true;
+    if (!fresh) it->second = std::max(it->second, slot);
+  }
+  ASSERT_TRUE(out_of_order);
+
+  // Uneven batches: 1, 3, 9, ... observations.
+  TrafficTensorCache cache(grid, kSlot, kWindow);
+  for (size_t begin = 0, n = 1; begin < obs.size(); n *= 3) {
+    const size_t end = std::min(obs.size(), begin + n);
+    cache.AddObservations({obs.begin() + begin, obs.begin() + end});
+    begin = end;
+  }
+  auto clone = cache.Clone();
+  clone->AddObservations(last);
+  std::vector<SpeedObservation> clone_obs = obs;
+  clone_obs.insert(clone_obs.end(), last.begin(), last.end());
+
+  auto expect_reference = [&](TrafficTensorCache* c,
+                              const std::vector<SpeedObservation>& arrived) {
+    double latest = 0.0;
+    for (const auto& o : arrived) latest = std::max(latest, o.time_s);
+    int nonempty = 0;
+    for (int slot = 0; slot <= c->SlotOf(latest) + 2; ++slot) {
+      const double start = slot * kSlot;
+      std::vector<SpeedObservation> window;
+      for (const auto& o : arrived) {
+        if (o.time_s >= start - kWindow && o.time_s < start) {
+          window.push_back(o);
+        }
+      }
+      std::stable_sort(window.begin(), window.end(),
+                       [c](const SpeedObservation& a,
+                           const SpeedObservation& b) {
+                         return c->SlotOf(a.time_s) < c->SlotOf(b.time_s);
+                       });
+      const nn::Tensor want = builder.Build(window);
+      const double t = start + 0.5 * kSlot;
+      const nn::Tensor& got = c->TensorForTime(t);
+      ASSERT_EQ(got.numel(), want.numel());
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               static_cast<size_t>(got.numel()) *
+                                   sizeof(float)))
+          << "slot " << slot;
+      EXPECT_EQ(c->HasObservations(t), !window.empty()) << "slot " << slot;
+      nonempty += window.empty() ? 0 : 1;
+    }
+    EXPECT_GT(nonempty, 10);
+  };
+  expect_reference(&cache, obs);
+  expect_reference(clone.get(), clone_obs);
 }
 
 TEST(TrafficTensorCacheTest, ObservationInOwnSlotExcluded) {

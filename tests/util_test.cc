@@ -316,6 +316,26 @@ TEST(FlagsTest, RejectsBareDoubleDash) {
   EXPECT_FALSE(flags.ok());
 }
 
+TEST(FlagsTest, RejectUnknownNamesTheFirstUnlistedOption) {
+  const char* argv[] = {"prog", "file.bin", "--seed", "5", "--zeta=1",
+                        "--bogus", "x", "--resume"};
+  auto flags = Flags::Parse(8, argv);
+  ASSERT_TRUE(flags.ok());
+  const Flags& f = flags.value();
+  const Status unknown = f.RejectUnknown({"seed", "resume"});
+  EXPECT_EQ(unknown.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(unknown.message().find("--bogus"), std::string::npos)
+      << unknown.message();
+  EXPECT_NE(f.RejectUnknown({"seed", "resume", "bogus"}).message().find(
+                "--zeta"),
+            std::string::npos);
+  // Positional arguments are not options, and listed names need not appear.
+  EXPECT_TRUE(
+      f.RejectUnknown({"seed", "resume", "bogus", "zeta", "threads"}).ok());
+  const char* bare[] = {"prog", "only-positional"};
+  EXPECT_TRUE(Flags::Parse(2, bare).value().RejectUnknown({}).ok());
+}
+
 TEST(TableTest, CsvRoundTripQuoting) {
   Table t({"a", "b"});
   t.AddRow({"x,y", "plain"});

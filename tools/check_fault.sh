@@ -7,8 +7,10 @@
 #   1. corruption_test  -- byte-level corpus against every binary/CSV loader
 #   2. serving_test     -- degradation, deadline and pool-failure coverage
 #   3. deepst_cli e2e   -- armed fault points (DEEPST_FAULTS env and --faults
-#                          flag) and a corrupted data file must each produce a
-#                          clean nonzero exit with an error message; never a
+#                          flag), a corrupted data file, bad grid and model
+#                          size flags, an unknown flag and a valid city too
+#                          large for its grid must each produce a clean
+#                          nonzero exit with an error message; never a
 #                          crash, never a sanitizer report.
 set -euo pipefail
 
@@ -75,6 +77,44 @@ head -c 64 "$DATA_DIR/network.bin" > "$DATA_DIR/network.trunc"
 cp "$DATA_DIR/network.bin" "$DATA_DIR/network.bak"
 mv "$DATA_DIR/network.trunc" "$DATA_DIR/network.bin"
 expect_fail "" \
+  "$CLI" evaluate --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
+  --model "$DATA_DIR/none.bin"
+mv "$DATA_DIR/network.bak" "$DATA_DIR/network.bin"
+
+echo "== bad grids, model sizes and unknown flags fail cleanly =="
+expect_fail "traffic-cell-m" \
+  "$CLI" evaluate --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
+  --model "$DATA_DIR/none.bin" --traffic-cell-m 0
+expect_fail "traffic-slot-s" \
+  "$CLI" evaluate --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
+  --model "$DATA_DIR/none.bin" --traffic-slot-s nan
+expect_fail "cell size" \
+  "$CLI" convert --in "$DATA_DIR/network.bin" --out "$DATA_DIR/never.bin" \
+  --cell-size 0
+expect_fail "hidden" \
+  "$CLI" train --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
+  --model "$DATA_DIR/never.bin" --hidden 0
+mkdir "$DATA_DIR/bogus"
+expect_fail "unknown flag --bogus" \
+  "$CLI" generate --out-dir "$DATA_DIR/bogus" --bogus 1
+if [ -n "$(ls -A "$DATA_DIR/bogus")" ] || [ -e "$DATA_DIR/never.bin" ]; then
+  echo "FAIL: a rejected command wrote its output" >&2; exit 1
+fi
+# A valid network.bin whose 250 m index grid would hold 4.3e9 cells: the
+# generated (v2) file with vertex 0 moved to (1.64e7, 1.64e7) and its CRC
+# re-sealed.
+cp "$DATA_DIR/network.bin" "$DATA_DIR/network.bak"
+python3 - "$DATA_DIR/network.bin" <<'EOF'
+import struct, sys, zlib
+path = sys.argv[1]
+b = bytearray(open(path, "rb").read())
+# v2 layout: magic, version and vertex count (u32 each), then vertex 0's
+# x and y (f64 each); the last 4 bytes are the CRC-32 of everything before.
+struct.pack_into("<dd", b, 12, 1.64e7, 1.64e7)
+struct.pack_into("<I", b, len(b) - 4, zlib.crc32(bytes(b[:-4])))
+open(path, "wb").write(b)
+EOF
+expect_fail "cells, more than" \
   "$CLI" evaluate --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
   --model "$DATA_DIR/none.bin"
 mv "$DATA_DIR/network.bak" "$DATA_DIR/network.bin"
