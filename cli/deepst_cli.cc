@@ -2,6 +2,11 @@
 //
 //   deepst_cli generate --out-dir data [--city chengdu|harbin] [--days N]
 //       [--trips-per-day N] [--seed S]
+//     Writes network.bin (with its spatial index embedded) and dataset.bin
+//     in the fixed-layout v3 format (docs/formats.md), plus trips.csv. The
+//     other commands load them, so experiments are reproducible without
+//     regenerating; a file of any other format version is refused, naming
+//     `generate` as the remedy.
 //   deepst_cli train --data-dir data --model model.bin
 //       [--variant deepst|deepst_c|cssrnn|rnn] [--epochs N] [--hidden N]
 //       [--proxies K] [--seed S] [--shard-size N]
@@ -63,16 +68,9 @@
 //     / model parameters / traffic WAL), format version, element counts,
 //     CRC status and whether it loads zero-copy from an mmap
 //     (docs/formats.md). Exits nonzero when any probed file fails
-//     validation (CRC mismatch, unsupported version, unreadable payload, a
-//     WAL body whose tail was torn or corrupted), so startup health checks
-//     can gate on it.
-//   deepst_cli convert --in FILE --out FILE [--cell-size M]
-//     Rewrites a road network or dataset of any version as fixed-layout v3.
-//     Road networks embed a precomputed spatial index (cell size --cell-size,
-//     default 250 m) so loads skip index construction.
-//
-// `generate` takes `--format v2|v3` (default v2) to pick the on-disk format
-// of network.bin / dataset.bin.
+//     validation (a network or dataset its loader rejects, a CRC mismatch,
+//     an unsupported version, a WAL body whose tail was torn or corrupted),
+//     so startup health checks can gate on it.
 //
 // Every command accepts `--threads N` (default 1): compute threads for the
 // nn backend. Results are identical for every N; see docs/parallelism.md.
@@ -83,8 +81,9 @@
 //
 // Every command that reads --data-dir also takes `--train-days N
 // --val-days N` (the split) and `--traffic-cell-m M --traffic-slot-s S
-// --traffic-window-s S` (the traffic grid and slots: finite and positive, and
-// at most geo::kMaxGridCells cells over the network).
+// --traffic-window-s S` (the traffic grid and slots: finite and positive, at
+// most geo::kMaxGridCells cells over the network, and slots long enough that
+// every time in the dataset has an int slot index).
 //
 // An option that a command does not read is an error: the command exits 1
 // naming it, before it loads or writes anything.
@@ -93,9 +92,6 @@
 // SPEC` or the DEEPST_FAULTS environment variable arms deterministic fault
 // points before the command runs. SPEC is a comma-separated list of
 // point:kind[@after][xcount], e.g. `roadnet.load:io_error`.
-//
-// `generate` writes network.bin + dataset.bin (+ CSV exports); the other
-// commands load them, so experiments are reproducible without regenerating.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -152,8 +148,8 @@ int Fail(const util::Status& status) {
 int Usage() {
   std::fprintf(stderr,
                "usage: deepst_cli "
-               "<generate|train|evaluate|predict|recover|serve|inspect|"
-               "convert> [options]\n"
+               "<generate|train|evaluate|predict|recover|serve|inspect> "
+               "[options]\n"
                "see the header of cli/deepst_cli.cc for per-command "
                "options\n");
   return 2;
@@ -219,7 +215,23 @@ util::StatusOr<LoadedData> LoadData(const util::Flags& flags) {
   geo::GridSpec grid(data.net->bounds(), cell.value());
   data.cache = std::make_unique<traffic::TrafficTensorCache>(
       grid, slot.value(), window.value());
-  data.cache->AddObservations(traj::CollectObservations(data.records));
+  const std::vector<traffic::SpeedObservation> observations =
+      traj::CollectObservations(data.records);
+  // Every time the dataset feeds or queries the cache must fall in a slot
+  // that --traffic-slot-s can number.
+  double latest = 0.0;
+  for (const traffic::SpeedObservation& o : observations) {
+    latest = std::max(latest, std::abs(o.time_s));
+  }
+  for (const traj::TripRecord& rec : data.records) {
+    latest = std::max(latest, std::abs(rec.trip.start_time_s));
+  }
+  const util::Status slots_ok = data.cache->CheckSlotRange(latest);
+  if (!slots_ok.ok()) {
+    return util::Status::InvalidArgument("--traffic-slot-s: " +
+                                         slots_ok.message());
+  }
+  data.cache->AddObservations(observations);
   data.stats =
       std::make_unique<traj::SegmentStatsTable>(*data.net, data.split.train);
   return data;
@@ -277,24 +289,11 @@ int CmdGenerate(const util::Flags& flags) {
   if (!seed.ok()) return Fail(seed.status());
   cfg.generator.seed = static_cast<uint64_t>(seed.value());
 
-  const std::string format = flags.GetString("format", "v2");
-  if (format != "v2" && format != "v3") {
-    return Fail(util::Status::InvalidArgument(
-        "--format must be v2 or v3, got '" + format + "'"));
-  }
-
   eval::World world(cfg);
-  util::Status s;
-  if (format == "v3") {
-    s = roadnet::SaveRoadNetworkV3(world.net(), dir + "/network.bin",
-                                   &world.index());
-    if (!s.ok()) return Fail(s);
-    s = traj::SaveDatasetV3(world.records(), dir + "/dataset.bin");
-  } else {
-    s = roadnet::SaveRoadNetwork(world.net(), dir + "/network.bin");
-    if (!s.ok()) return Fail(s);
-    s = traj::SaveDataset(world.records(), dir + "/dataset.bin");
-  }
+  util::Status s = roadnet::SaveRoadNetworkV3(
+      world.net(), dir + "/network.bin", &world.index());
+  if (!s.ok()) return Fail(s);
+  s = traj::SaveDatasetV3(world.records(), dir + "/dataset.bin");
   if (!s.ok()) return Fail(s);
   s = traj::ExportTripsCsv(world.records(), dir + "/trips.csv");
   if (!s.ok()) return Fail(s);
@@ -1009,41 +1008,6 @@ int CmdServe(const util::Flags& flags) {
   return 0;
 }
 
-int CmdConvert(const util::Flags& flags) {
-  const std::string in_path = flags.GetString("in");
-  const std::string out_path = flags.GetString("out");
-  if (in_path.empty() || out_path.empty()) {
-    return Fail(util::Status::InvalidArgument(
-        "convert requires --in and --out"));
-  }
-  auto cell = flags.GetDouble("cell-size", 250.0);
-  if (!cell.ok()) return Fail(cell.status());
-  // Kind detection by magic: try the network loader first, then the dataset
-  // loader. Wrong-magic errors fall through; real corruption fails loudly.
-  auto city = roadnet::LoadCity(in_path, cell.value());
-  if (city.ok()) {
-    util::Status s = roadnet::SaveRoadNetworkV3(*city.value().net, out_path,
-                                                city.value().index.get());
-    if (!s.ok()) return Fail(s);
-    std::printf("wrote %s: road network v3, %d segments, spatial cells of "
-                "%.0f m\n",
-                out_path.c_str(), city.value().net->num_segments(),
-                cell.value());
-    return 0;
-  }
-  auto records = traj::LoadDataset(in_path);
-  if (records.ok()) {
-    util::Status s = traj::SaveDatasetV3(records.value(), out_path);
-    if (!s.ok()) return Fail(s);
-    std::printf("wrote %s: trajectory dataset v3, %zu trips\n",
-                out_path.c_str(), records.value().size());
-    return 0;
-  }
-  // Neither loader accepted it: report the network loader's error (the more
-  // common input) unless the dataset loader got further than bad magic.
-  return Fail(city.status());
-}
-
 // A command and the options it reads. Every command also takes --threads
 // and --faults; Main rejects any other option before the command loads or
 // writes anything.
@@ -1064,7 +1028,7 @@ int Main(int argc, const char* const* argv) {
   const Command commands[] = {
       {"generate",
        CmdGenerate,
-       {{"out-dir", "city", "days", "trips-per-day", "seed", "format"}}},
+       {{"out-dir", "city", "days", "trips-per-day", "seed"}}},
       {"train",
        CmdTrain,
        {data_flags, model_flags,
@@ -1085,7 +1049,6 @@ int Main(int argc, const char* const* argv) {
          "queue-capacity", "max-batch", "batch-window-us", "retry-after-ms",
          "watchdog-ms", "hung-ms"}}},
       {"inspect", CmdInspect, {}},
-      {"convert", CmdConvert, {{"in", "out", "cell-size"}}},
   };
   const std::string name = argv[1];
   const Command* command = nullptr;

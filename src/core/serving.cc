@@ -152,6 +152,7 @@ util::Status ServingContext::ResolveQuery(RouteQuery* query,
     traffic::TrafficTensorCache* cache = options->traffic_cache != nullptr
                                              ? options->traffic_cache
                                              : model_->traffic_cache();
+    DEEPST_RETURN_IF_ERROR(cache->CheckSlotRange(query->start_time_s));
     const bool missing = !cache->HasObservations(query->start_time_s);
     const bool stale =
         query->start_time_s - cache->latest_observation_time() >

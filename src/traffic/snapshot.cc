@@ -109,6 +109,14 @@ void TrafficTensorCache::AddObservations(
   cache_.clear();
 }
 
+util::Status TrafficTensorCache::CheckSlotRange(double time_s) const {
+  const double slot = time_s / slot_seconds_;
+  if (slot < kMaxSlot && slot > -kMaxSlot) return util::Status::Ok();
+  return util::Status::InvalidArgument(util::StrFormat(
+      "time %g s lies past the last of %d traffic slots of %g s", time_s,
+      kMaxSlot, slot_seconds_));
+}
+
 template <typename Fn>
 void TrafficTensorCache::ForEachInWindow(double window_start,
                                          double window_end, Fn&& fn) const {

@@ -1,6 +1,7 @@
 #ifndef DEEPST_TRAFFIC_SNAPSHOT_H_
 #define DEEPST_TRAFFIC_SNAPSHOT_H_
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -102,9 +103,23 @@ class TrafficTensorCache {
   // serving layer detect a stale feed (latest << query time).
   double latest_observation_time() const { return latest_time_; }
 
+  // Largest slot index. Times past it share this one saturated slot rather
+  // than overflow the int.
+  static constexpr int kMaxSlot = std::numeric_limits<int>::max();
+
+  // Index of the slot containing `time_s`, saturated to [-kMaxSlot,
+  // kMaxSlot]; a NaN time maps to kMaxSlot.
   int SlotOf(double time_s) const {
-    return static_cast<int>(time_s / slot_seconds_);
+    const double slot = time_s / slot_seconds_;
+    if (!(slot < kMaxSlot)) return kMaxSlot;
+    if (slot <= -kMaxSlot) return -kMaxSlot;
+    return static_cast<int>(slot);
   }
+
+  // InvalidArgument when SlotOf(time_s) would saturate: the time lies past
+  // the last slot these slot_seconds can number.
+  util::Status CheckSlotRange(double time_s) const;
+
   double slot_seconds() const { return slot_seconds_; }
   const geo::GridSpec& grid() const { return builder_.grid(); }
   int rows() const { return builder_.grid().rows(); }

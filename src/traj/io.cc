@@ -2,11 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <sstream>
 
-#include "util/byte_reader.h"
-#include "util/crc32.h"
 #include "util/fault_injector.h"
 #include "util/fixed_format.h"
 #include "util/mapped_file.h"
@@ -17,98 +15,13 @@ namespace traj {
 namespace {
 
 constexpr uint32_t kMagic = 0x0DA7A701;
-// v1: raw records. v2 appends a CRC32 footer over everything before it.
-// v3: fixed-layout mmap-able sections (docs/formats.md). Load accepts all
-// three (v1 files predate the checksum).
-constexpr uint32_t kVersionLegacy = 1;
-constexpr uint32_t kVersion = 2;
-constexpr uint32_t kVersionV3 = 3;
 
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-// Minimum on-disk sizes, used to reject counts that cannot fit in the
-// remaining bytes before any allocation is sized from them.
-constexpr uint64_t kTripHeaderBytes =
-    3 * sizeof(double) + sizeof(int32_t) + sizeof(uint32_t);
-constexpr uint64_t kGpsPointBytes = 4 * sizeof(double);
-
-util::Status ParseRecords(util::ByteReader* in,
-                          std::vector<TripRecord>* records) {
-  uint64_t count = 0;
-  if (!in->Read(&count)) return util::Status::IoError("truncated header");
-  if (!in->CanHold(count, kTripHeaderBytes + sizeof(uint32_t))) {
-    return util::Status::IoError("trip count exceeds file size");
-  }
-  records->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    TripRecord rec;
-    int32_t day = 0;
-    uint32_t route_len = 0;
-    if (!in->Read(&rec.trip.start_time_s) ||
-        !in->Read(&rec.trip.destination.x) ||
-        !in->Read(&rec.trip.destination.y) || !in->Read(&day) ||
-        !in->Read(&route_len)) {
-      return util::Status::IoError("truncated trip header");
-    }
-    if (!std::isfinite(rec.trip.start_time_s) ||
-        !std::isfinite(rec.trip.destination.x) ||
-        !std::isfinite(rec.trip.destination.y)) {
-      return util::Status::InvalidArgument(
-          util::StrFormat("trip %llu has non-finite header fields",
-                          static_cast<unsigned long long>(i)));
-    }
-    if (day < 0) {
-      return util::Status::InvalidArgument(
-          util::StrFormat("trip %llu has negative day",
-                          static_cast<unsigned long long>(i)));
-    }
-    rec.trip.day = day;
-    if (!in->CanHold(route_len, sizeof(roadnet::SegmentId))) {
-      return util::Status::IoError("route length exceeds file size");
-    }
-    rec.trip.route.resize(route_len);
-    for (auto& s : rec.trip.route) {
-      if (!in->Read(&s)) return util::Status::IoError("truncated route");
-      if (s < 0) {
-        return util::Status::InvalidArgument(
-            util::StrFormat("trip %llu has negative segment id",
-                            static_cast<unsigned long long>(i)));
-      }
-    }
-    uint32_t gps_len = 0;
-    if (!in->Read(&gps_len)) return util::Status::IoError("truncated gps");
-    if (!in->CanHold(gps_len, kGpsPointBytes)) {
-      return util::Status::IoError("gps length exceeds file size");
-    }
-    rec.gps.resize(gps_len);
-    for (auto& p : rec.gps) {
-      if (!in->Read(&p.pos.x) || !in->Read(&p.pos.y) ||
-          !in->Read(&p.time_s) || !in->Read(&p.speed_mps)) {
-        return util::Status::IoError("truncated gps point");
-      }
-      if (!std::isfinite(p.pos.x) || !std::isfinite(p.pos.y) ||
-          !std::isfinite(p.time_s) || !std::isfinite(p.speed_mps)) {
-        return util::Status::InvalidArgument(
-            util::StrFormat("trip %llu has non-finite gps point",
-                            static_cast<unsigned long long>(i)));
-      }
-    }
-    records->push_back(std::move(rec));
-  }
-  return util::Status::Ok();
-}
-
-// -- Format v3 ---------------------------------------------------------------
-//
 // Fixed 40-byte header, section table, 8-aligned payloads, CRC footer
 // (util/fixed_format.h). Trips are fixed 56-byte records indexing into
 // shared route-id and GPS-point pools. Byte layout in docs/formats.md.
 struct TrajHeaderV3 {
   uint32_t magic = kMagic;
-  uint32_t version = kVersionV3;
+  uint32_t version = util::kFormatVersion;
   uint64_t num_trips = 0;
   uint64_t num_route_ids = 0;
   uint64_t num_gps_points = 0;
@@ -130,8 +43,8 @@ struct TripRecV3 {
 };
 static_assert(sizeof(TripRecV3) == 56);
 
-// GpsPoint is written as a raw struct view; its memory layout must equal the
-// v1/v2 field order (x, y, time_s, speed_mps).
+// GpsPoint is written as a raw struct view; its memory layout is the pool's
+// on-disk record (x, y, time_s, speed_mps).
 static_assert(sizeof(GpsPoint) == 32);
 static_assert(std::is_trivially_copyable_v<GpsPoint>);
 
@@ -139,16 +52,26 @@ constexpr uint32_t kSecTrips = 1;
 constexpr uint32_t kSecRouteIds = 2;
 constexpr uint32_t kSecGpsPoints = 3;
 
-util::Status LoadDatasetV3(const util::MappedFile& file,
-                           const std::string& path,
-                           std::vector<TripRecord>* records) {
+// Validated views over a mapped dataset image.
+struct DatasetImage {
+  TrajHeaderV3 hdr;
+  const TripRecV3* trips = nullptr;
+  const roadnet::SegmentId* route_ids = nullptr;
+  const GpsPoint* gps = nullptr;
+};
+
+// Checks the version, the CRC, the section table, the pools and every trip
+// record against the mapping, so that materializing the trips cannot fail.
+util::Status ParseDatasetImage(const util::MappedFile& file,
+                               const std::string& path, DatasetImage* image) {
   const char* data = file.data();
   const size_t size = file.size();
+  DEEPST_RETURN_IF_ERROR(util::CheckMagicAndVersion(data, size, kMagic, path));
   DEEPST_RETURN_IF_ERROR(util::CheckCrcFooter(data, size, path));
   if (size < sizeof(TrajHeaderV3) + util::kFooterBytes) {
     return util::Status::IoError("file too short: " + path);
   }
-  TrajHeaderV3 hdr;
+  TrajHeaderV3& hdr = image->hdr;
   std::memcpy(&hdr, data, sizeof(hdr));
   if (hdr.num_trips >= (1ull << 40) || hdr.num_route_ids >= (1ull << 40) ||
       hdr.num_gps_points >= (1ull << 40)) {
@@ -159,28 +82,25 @@ util::Status LoadDatasetV3(const util::MappedFile& file,
                                           hdr.num_sections, path);
   DEEPST_RETURN_IF_ERROR(sections.status());
   const util::SectionMap& map = sections.value();
-  const TripRecV3* trips = nullptr;
-  const roadnet::SegmentId* route_ids = nullptr;
-  const GpsPoint* gps = nullptr;
-  DEEPST_RETURN_IF_ERROR(map.View(kSecTrips, hdr.num_trips, &trips));
-  DEEPST_RETURN_IF_ERROR(map.View(kSecRouteIds, hdr.num_route_ids,
-                                  &route_ids));
-  DEEPST_RETURN_IF_ERROR(map.View(kSecGpsPoints, hdr.num_gps_points, &gps));
-  // Validate the pools and records against the mapping first, then
-  // materialize each trip with two bulk copies.
+  DEEPST_RETURN_IF_ERROR(map.View(kSecTrips, hdr.num_trips, &image->trips));
+  DEEPST_RETURN_IF_ERROR(
+      map.View(kSecRouteIds, hdr.num_route_ids, &image->route_ids));
+  DEEPST_RETURN_IF_ERROR(
+      map.View(kSecGpsPoints, hdr.num_gps_points, &image->gps));
   for (uint64_t i = 0; i < hdr.num_route_ids; ++i) {
-    if (route_ids[i] < 0) {
+    if (image->route_ids[i] < 0) {
       return util::Status::InvalidArgument("negative segment id in " + path);
     }
   }
   for (uint64_t i = 0; i < hdr.num_gps_points; ++i) {
-    if (!std::isfinite(gps[i].pos.x) || !std::isfinite(gps[i].pos.y) ||
-        !std::isfinite(gps[i].time_s) || !std::isfinite(gps[i].speed_mps)) {
+    const GpsPoint& p = image->gps[i];
+    if (!std::isfinite(p.pos.x) || !std::isfinite(p.pos.y) ||
+        !std::isfinite(p.time_s) || !std::isfinite(p.speed_mps)) {
       return util::Status::InvalidArgument("non-finite gps point in " + path);
     }
   }
   for (uint64_t i = 0; i < hdr.num_trips; ++i) {
-    const TripRecV3& t = trips[i];
+    const TripRecV3& t = image->trips[i];
     if (!std::isfinite(t.start_time_s) || !std::isfinite(t.dest_x) ||
         !std::isfinite(t.dest_y) || t.day < 0) {
       return util::Status::InvalidArgument(
@@ -195,18 +115,6 @@ util::Status LoadDatasetV3(const util::MappedFile& file,
           util::StrFormat("trip %llu pool range out of bounds in %s",
                           static_cast<unsigned long long>(i), path.c_str()));
     }
-  }
-  records->reserve(hdr.num_trips);
-  for (uint64_t i = 0; i < hdr.num_trips; ++i) {
-    const TripRecV3& t = trips[i];
-    TripRecord rec;
-    rec.trip.start_time_s = t.start_time_s;
-    rec.trip.destination = geo::Point{t.dest_x, t.dest_y};
-    rec.trip.day = t.day;
-    rec.trip.route.assign(route_ids + t.route_start,
-                          route_ids + t.route_start + t.route_len);
-    rec.gps.assign(gps + t.gps_start, gps + t.gps_start + t.gps_len);
-    records->push_back(std::move(rec));
   }
   return util::Status::Ok();
 }
@@ -255,78 +163,28 @@ util::Status SaveDatasetV3(const std::vector<TripRecord>& records,
   return util::Status::Ok();
 }
 
-util::Status SaveDataset(const std::vector<TripRecord>& records,
-                         const std::string& path) {
-  DEEPST_RETURN_IF_ERROR(util::CheckFaultPoint("traj.save"));
-  std::ostringstream buf(std::ios::binary);
-  WritePod(buf, kMagic);
-  WritePod(buf, kVersion);
-  WritePod(buf, static_cast<uint64_t>(records.size()));
-  for (const auto& rec : records) {
-    WritePod(buf, rec.trip.start_time_s);
-    WritePod(buf, rec.trip.destination.x);
-    WritePod(buf, rec.trip.destination.y);
-    WritePod(buf, static_cast<int32_t>(rec.trip.day));
-    WritePod(buf, static_cast<uint32_t>(rec.trip.route.size()));
-    for (auto s : rec.trip.route) WritePod(buf, s);
-    WritePod(buf, static_cast<uint32_t>(rec.gps.size()));
-    for (const auto& p : rec.gps) {
-      WritePod(buf, p.pos.x);
-      WritePod(buf, p.pos.y);
-      WritePod(buf, p.time_s);
-      WritePod(buf, p.speed_mps);
-    }
-  }
-  std::string bytes = std::move(buf).str();
-  const uint32_t crc = util::Crc32(bytes.data(), bytes.size());
-  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) return util::Status::IoError("cannot open " + path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out.good()) return util::Status::IoError("write failed for " + path);
-  return util::Status::Ok();
-}
-
 util::StatusOr<std::vector<TripRecord>> LoadDataset(const std::string& path) {
   DEEPST_RETURN_IF_ERROR(util::CheckFaultPoint("traj.load"));
   auto opened = util::MappedFile::Open(path);
   DEEPST_RETURN_IF_ERROR(opened.status());
   const util::MappedFile file = std::move(opened).value();
-  const char* data = file.data();
-  const size_t size = file.size();
-  util::ByteReader reader(data, size);
-  uint32_t magic = 0, version = 0;
-  if (!reader.Read(&magic) || magic != kMagic) {
-    return util::Status::IoError("bad magic in " + path);
-  }
-  if (!reader.Read(&version)) {
-    return util::Status::IoError("file too short: " + path);
-  }
+  DatasetImage image;
+  DEEPST_RETURN_IF_ERROR(ParseDatasetImage(file, path, &image));
+  // Each trip is two bulk copies out of the validated pools.
   std::vector<TripRecord> records;
-  if (version == kVersionV3) {
-    DEEPST_RETURN_IF_ERROR(LoadDatasetV3(file, path, &records));
-    return records;
+  records.reserve(image.hdr.num_trips);
+  for (uint64_t i = 0; i < image.hdr.num_trips; ++i) {
+    const TripRecV3& t = image.trips[i];
+    TripRecord rec;
+    rec.trip.start_time_s = t.start_time_s;
+    rec.trip.destination = geo::Point{t.dest_x, t.dest_y};
+    rec.trip.day = t.day;
+    rec.trip.route.assign(image.route_ids + t.route_start,
+                          image.route_ids + t.route_start + t.route_len);
+    rec.gps.assign(image.gps + t.gps_start,
+                   image.gps + t.gps_start + t.gps_len);
+    records.push_back(std::move(rec));
   }
-  if (version != kVersionLegacy && version != kVersion) {
-    return util::Status::IoError("unsupported version in " + path);
-  }
-  size_t body = size;
-  if (version == kVersion) {
-    if (size < 3 * sizeof(uint32_t)) {
-      return util::Status::IoError("file too short: " + path);
-    }
-    body = size - sizeof(uint32_t);
-    uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, data + body, sizeof(stored_crc));
-    if (util::Crc32(data, body) != stored_crc) {
-      return util::Status::DataLoss("dataset CRC mismatch in " + path +
-                                    " (corrupt or truncated)");
-    }
-  }
-  util::ByteReader body_reader(data + 2 * sizeof(uint32_t),
-                               body - 2 * sizeof(uint32_t));
-  util::Status parsed = ParseRecords(&body_reader, &records);
-  if (!parsed.ok()) return parsed;
   return records;
 }
 
@@ -335,58 +193,33 @@ util::StatusOr<std::string> DescribeDatasetFile(const std::string& path,
   if (healthy != nullptr) *healthy = true;
   auto opened = util::MappedFile::Open(path);
   DEEPST_RETURN_IF_ERROR(opened.status());
-  const util::MappedFile& file = std::move(opened).value();
-  const char* data = file.data();
-  const size_t size = file.size();
-  util::ByteReader reader(data, size);
+  const util::MappedFile file = std::move(opened).value();
   uint32_t magic = 0, version = 0;
-  if (!reader.Read(&magic) || magic != kMagic) {
+  if (!util::ReadMagicAndVersion(file.data(), file.size(), &magic,
+                                 &version) ||
+      magic != kMagic) {
     return util::Status::InvalidArgument("not a dataset file: " + path);
-  }
-  if (!reader.Read(&version)) {
-    return util::Status::IoError("file too short: " + path);
   }
   std::string out = util::StrFormat(
       "trajectory dataset  %s\n  format: v%u  size: %llu bytes\n",
-      path.c_str(), version, static_cast<unsigned long long>(size));
-  if (version == kVersionV3) {
-    const util::Status crc = util::CheckCrcFooter(data, size, path);
-    out += util::StrFormat("  crc: %s\n",
-                           crc.ok() ? "ok" : crc.ToString().c_str());
-    if (!crc.ok() && healthy != nullptr) *healthy = false;
-    if (crc.ok() && size >= sizeof(TrajHeaderV3) + util::kFooterBytes) {
-      TrajHeaderV3 hdr;
-      std::memcpy(&hdr, data, sizeof(hdr));
-      out += util::StrFormat(
-          "  trips: %llu  route ids: %llu  gps points: %llu\n",
-          static_cast<unsigned long long>(hdr.num_trips),
-          static_cast<unsigned long long>(hdr.num_route_ids),
-          static_cast<unsigned long long>(hdr.num_gps_points));
-      out += util::StrFormat(
-          "  zero-copy pools: yes (%s this open)\n",
-          file.is_mapped() ? "mmap'ed" : "buffered fallback");
-    }
-  } else if (version == kVersion || version == kVersionLegacy) {
-    if (version == kVersion && size >= 3 * sizeof(uint32_t)) {
-      const size_t body = size - sizeof(uint32_t);
-      uint32_t stored_crc = 0;
-      std::memcpy(&stored_crc, data + body, sizeof(stored_crc));
-      const bool crc_ok = util::Crc32(data, body) == stored_crc;
-      if (!crc_ok && healthy != nullptr) *healthy = false;
-      out += util::StrFormat("  crc: %s\n", crc_ok ? "ok" : "MISMATCH");
-    } else {
-      out += "  crc: none (v1 predates the checksum)\n";
-    }
-    uint64_t num_trips = 0;
-    if (reader.Read(&num_trips)) {
-      out += util::StrFormat("  trips: %llu\n",
-                             static_cast<unsigned long long>(num_trips));
-    }
-    out += "  zero-copy pools: no (streaming format; convert to v3)\n";
-  } else {
+      path.c_str(), version, static_cast<unsigned long long>(file.size()));
+  // The verdict is LoadDataset's: every check it makes runs here, only the
+  // trips are not copied out.
+  DatasetImage image;
+  const util::Status parsed = ParseDatasetImage(file, path, &image);
+  if (!parsed.ok()) {
     if (healthy != nullptr) *healthy = false;
-    out += "  unsupported version\n";
+    out += "  load: " + parsed.ToString() + "\n";
+    return out;
   }
+  out += util::StrFormat(
+      "  crc: ok  load: ok\n"
+      "  trips: %llu  route ids: %llu  gps points: %llu\n",
+      static_cast<unsigned long long>(image.hdr.num_trips),
+      static_cast<unsigned long long>(image.hdr.num_route_ids),
+      static_cast<unsigned long long>(image.hdr.num_gps_points));
+  out += util::StrFormat("  zero-copy pools: yes (%s this open)\n",
+                         file.is_mapped() ? "mmap'ed" : "buffered fallback");
   return out;
 }
 

@@ -16,22 +16,21 @@ namespace traj {
 // in the common trajectory-dataset layout (one GPS point per line:
 // trip_id, time_s, x, y, speed_mps) for external analysis/plotting.
 
-// Writes the streaming v2 format (CRC32 footer).
-util::Status SaveDataset(const std::vector<TripRecord>& records,
-                         const std::string& path);
 // Writes the fixed-layout mmap-able v3 format (docs/formats.md): one flat
 // trip-record section plus shared route-id and GPS-point pools, 8-byte
 // aligned with a CRC footer. Loads validate against the mapping and
 // materialize each trip with two bulk copies instead of per-element reads.
 util::Status SaveDatasetV3(const std::vector<TripRecord>& records,
                            const std::string& path);
-// Loads any supported version (v1/v2 streaming, v3 fixed-layout).
+// Loads a v3 file. Any other version fails with "unsupported version N in
+// PATH", naming `deepst_cli generate`.
 util::StatusOr<std::vector<TripRecord>> LoadDataset(const std::string& path);
 
 // Human-readable report for `deepst_cli inspect`: format version, element
-// counts, CRC status, mmap-ability. InvalidArgument on a non-dataset magic.
-// `healthy` (optional) is set false when the file describes but fails
-// validation (CRC mismatch, unsupported version).
+// counts, mmap-ability. InvalidArgument on a non-dataset magic. The verdict
+// is LoadDataset's: `healthy` (optional) is set false for a file it rejects
+// (an unsupported version, a CRC mismatch, a bad record), and the report
+// names the error.
 util::StatusOr<std::string> DescribeDatasetFile(const std::string& path,
                                                 bool* healthy = nullptr);
 

@@ -31,10 +31,32 @@ void SectionWriter::AppendTo(std::string* out) const {
   const size_t table_bytes = entries_.size() * sizeof(SectionEntry);
   AppendPod(out, entries_.data(), entries_.size());
   // Pad from the table end to the 8-aligned payload base.
-  const uint64_t written = out->size();
-  (void)written;
   AppendZeros(out, AlignUp8(table_bytes) - table_bytes);
   out->append(payload_);
+}
+
+bool ReadMagicAndVersion(const char* data, size_t size, uint32_t* magic,
+                         uint32_t* version) {
+  if (size < 2 * sizeof(uint32_t)) return false;
+  std::memcpy(magic, data, sizeof(*magic));
+  std::memcpy(version, data + sizeof(*magic), sizeof(*version));
+  return true;
+}
+
+Status CheckMagicAndVersion(const char* data, size_t size, uint32_t magic,
+                            const std::string& what) {
+  uint32_t got_magic = 0, version = 0;
+  if (!ReadMagicAndVersion(data, size, &got_magic, &version) ||
+      got_magic != magic) {
+    return Status::IoError("bad magic in " + what);
+  }
+  if (version != kFormatVersion) {
+    return Status::IoError(StrFormat(
+        "unsupported version %u in %s: only format v%u is read; write the "
+        "file again with `deepst_cli generate`",
+        version, what.c_str(), kFormatVersion));
+  }
+  return Status::Ok();
 }
 
 void AppendCrcFooter(std::string* bytes) {

@@ -33,6 +33,10 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 24);
 
+// Every v3 file opens with `u32 magic, u32 version`; 3 is the only version
+// read or written.
+constexpr uint32_t kFormatVersion = 3;
+
 constexpr uint32_t kFooterMagic = 0x33C0DA7Au;
 constexpr size_t kFooterBytes = 8;
 
@@ -73,6 +77,17 @@ class SectionWriter {
   std::vector<SectionEntry> entries_;
   std::string payload_;
 };
+
+// Reads the leading magic and version. False when the image is shorter than
+// the 8 bytes they take.
+bool ReadMagicAndVersion(const char* data, size_t size, uint32_t* magic,
+                         uint32_t* version);
+
+// Checks the leading pair against `magic`: IoError "bad magic" for a short
+// or foreign file, and "unsupported version N in WHAT" for any version but
+// kFormatVersion, naming `deepst_cli generate` as the remedy.
+Status CheckMagicAndVersion(const char* data, size_t size, uint32_t magic,
+                            const std::string& what);
 
 // Seals a v3 image: appends the CRC footer over everything written so far.
 void AppendCrcFooter(std::string* bytes);

@@ -6,9 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -20,9 +21,8 @@
 #include "roadnet/spatial_index.h"
 #include "traffic/snapshot.h"
 #include "traj/io.h"
-#include "util/crc32.h"
 #include "util/fault_injector.h"
-#include "util/fixed_format.h"
+#include "v3_image.h"
 
 namespace deepst {
 namespace {
@@ -42,11 +42,6 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/deepst_corrupt_" + name;
-}
-
-template <typename T>
-void Append(std::string* out, const T& v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 // A 2x2 grid network with bidirectional edges: enough structure for routes,
@@ -152,10 +147,10 @@ class IngestionFaultPointTest : public FaultInjectorTest {};
 TEST_F(IngestionFaultPointTest, LoaderFaultPointsReturnStatus) {
   const roadnet::RoadNetwork net = MakeTinyNetwork();
   const std::string net_path = TempPath("faultpoint_net.bin");
-  ASSERT_TRUE(roadnet::SaveRoadNetwork(net, net_path).ok());
+  ASSERT_TRUE(roadnet::SaveRoadNetworkV3(net, net_path).ok());
   const auto records = MakeTinyDataset(net);
   const std::string ds_path = TempPath("faultpoint_ds.bin");
-  ASSERT_TRUE(traj::SaveDataset(records, ds_path).ok());
+  ASSERT_TRUE(traj::SaveDatasetV3(records, ds_path).ok());
 
   util::FaultInjector& fi = util::FaultInjector::Instance();
   ASSERT_TRUE(fi.ArmFromSpec("roadnet.load:io_error, traj.load:io_error, "
@@ -165,8 +160,8 @@ TEST_F(IngestionFaultPointTest, LoaderFaultPointsReturnStatus) {
   EXPECT_FALSE(roadnet::LoadRoadNetwork(net_path).ok());
   EXPECT_FALSE(traj::LoadDataset(ds_path).ok());
   EXPECT_FALSE(traffic::LoadObservationsCsv("unused.csv").ok());
-  EXPECT_FALSE(roadnet::SaveRoadNetwork(net, net_path).ok());
-  EXPECT_FALSE(traj::SaveDataset(records, ds_path).ok());
+  EXPECT_FALSE(roadnet::SaveRoadNetworkV3(net, net_path).ok());
+  EXPECT_FALSE(traj::SaveDatasetV3(records, ds_path).ok());
   fi.Reset();
   // Disarmed, the same calls succeed: the faults were injected, not real.
   EXPECT_TRUE(roadnet::LoadRoadNetwork(net_path).ok());
@@ -187,158 +182,10 @@ TEST_F(IngestionFaultPointTest, CheckpointFaultPointsReturnStatus) {
   EXPECT_TRUE(core::LoadTrainingCheckpoint(path).ok());
 }
 
-TEST(RoadnetCorpusTest, RoundTripSurvives) {
-  const roadnet::RoadNetwork net = MakeTinyNetwork();
-  const std::string path = TempPath("net_roundtrip.bin");
-  ASSERT_TRUE(roadnet::SaveRoadNetwork(net, path).ok());
-  auto loaded = roadnet::LoadRoadNetwork(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->num_vertices(), net.num_vertices());
-  EXPECT_EQ(loaded.value()->num_segments(), net.num_segments());
-  EXPECT_EQ(loaded.value()->segment(0).reverse, net.segment(0).reverse);
-}
-
-TEST(RoadnetCorpusTest, EveryTruncationFailsCleanly) {
-  const roadnet::RoadNetwork net = MakeTinyNetwork();
-  const std::string path = TempPath("net_trunc.bin");
-  ASSERT_TRUE(roadnet::SaveRoadNetwork(net, path).ok());
-  const std::string bytes = ReadFile(path);
-  ASSERT_GT(bytes.size(), 16u);
-  const std::string trunc_path = TempPath("net_trunc_case.bin");
-  for (size_t keep = 0; keep < bytes.size(); keep += 3) {
-    WriteFile(trunc_path, bytes.substr(0, keep));
-    EXPECT_FALSE(roadnet::LoadRoadNetwork(trunc_path).ok()) << keep;
-  }
-}
-
-TEST(RoadnetCorpusTest, EveryBitFlipIsCaughtByCrc) {
-  const roadnet::RoadNetwork net = MakeTinyNetwork();
-  const std::string path = TempPath("net_flip.bin");
-  ASSERT_TRUE(roadnet::SaveRoadNetwork(net, path).ok());
-  const std::string bytes = ReadFile(path);
-  const std::string flip_path = TempPath("net_flip_case.bin");
-  for (size_t i = 0; i < bytes.size(); i += 7) {
-    std::string mutated = bytes;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x20);
-    WriteFile(flip_path, mutated);
-    EXPECT_FALSE(roadnet::LoadRoadNetwork(flip_path).ok()) << i;
-  }
-}
-
-// Hand-written v1 images (no CRC) reach the field validators directly.
-struct RoadnetV1Builder {
-  std::string bytes;
-
-  RoadnetV1Builder() {
-    Append(&bytes, static_cast<uint32_t>(0x0AD2E701));
-    Append(&bytes, static_cast<uint32_t>(1));  // legacy version, no CRC
-  }
-  void Vertices(const std::vector<geo::Point>& vs) {
-    Append(&bytes, static_cast<uint32_t>(vs.size()));
-    for (const auto& v : vs) {
-      Append(&bytes, v.x);
-      Append(&bytes, v.y);
-    }
-  }
-  void SegmentCount(uint32_t n) { Append(&bytes, n); }
-  void Segment(int32_t from, int32_t to, double speed, uint8_t road_class,
-               int32_t reverse, const std::vector<geo::Point>& poly) {
-    Append(&bytes, from);
-    Append(&bytes, to);
-    Append(&bytes, speed);
-    Append(&bytes, road_class);
-    Append(&bytes, reverse);
-    Append(&bytes, static_cast<uint32_t>(poly.size()));
-    for (const auto& p : poly) {
-      Append(&bytes, p.x);
-      Append(&bytes, p.y);
-    }
-  }
-};
-
-util::Status LoadV1(const RoadnetV1Builder& b, const std::string& name) {
-  const std::string path = TempPath(name);
-  WriteFile(path, b.bytes);
-  return roadnet::LoadRoadNetwork(path).status();
-}
-
-TEST(RoadnetCorpusTest, MalformedRecordsReturnStatusNotAbort) {
-  const std::vector<geo::Point> two = {{0.0, 0.0}, {100.0, 0.0}};
-  const double kNan = std::numeric_limits<double>::quiet_NaN();
-  {
-    RoadnetV1Builder b;  // vertex count far beyond the file size
-    b.Vertices({});
-    b.bytes.resize(8);
-    Append(&b.bytes, static_cast<uint32_t>(1u << 30));
-    EXPECT_FALSE(LoadV1(b, "v1_hugevcount.bin").ok());
-  }
-  {
-    RoadnetV1Builder b;  // non-finite vertex coordinate
-    b.Vertices({{kNan, 0.0}, {100.0, 0.0}});
-    b.SegmentCount(0);
-    EXPECT_FALSE(LoadV1(b, "v1_nanvertex.bin").ok());
-  }
-  {
-    RoadnetV1Builder b;  // endpoint out of range
-    b.Vertices(two);
-    b.SegmentCount(1);
-    b.Segment(0, 7, 13.9, 0, -1, two);
-    EXPECT_FALSE(LoadV1(b, "v1_badendpoint.bin").ok());
-  }
-  {
-    RoadnetV1Builder b;  // negative endpoint
-    b.Vertices(two);
-    b.SegmentCount(1);
-    b.Segment(-3, 1, 13.9, 0, -1, two);
-    EXPECT_FALSE(LoadV1(b, "v1_negendpoint.bin").ok());
-  }
-  {
-    RoadnetV1Builder b;  // non-positive speed
-    b.Vertices(two);
-    b.SegmentCount(1);
-    b.Segment(0, 1, 0.0, 0, -1, two);
-    EXPECT_FALSE(LoadV1(b, "v1_zerospeed.bin").ok());
-  }
-  {
-    RoadnetV1Builder b;  // unknown road class
-    b.Vertices(two);
-    b.SegmentCount(1);
-    b.Segment(0, 1, 13.9, 9, -1, two);
-    EXPECT_FALSE(LoadV1(b, "v1_badclass.bin").ok());
-  }
-  {
-    RoadnetV1Builder b;  // reverse link out of range
-    b.Vertices(two);
-    b.SegmentCount(1);
-    b.Segment(0, 1, 13.9, 0, 44, two);
-    EXPECT_FALSE(LoadV1(b, "v1_badreverse.bin").ok());
-  }
-  {
-    RoadnetV1Builder b;  // zero-length polyline (would abort AddSegment)
-    b.Vertices(two);
-    b.SegmentCount(1);
-    b.Segment(0, 1, 13.9, 0, -1, {{0.0, 0.0}, {0.0, 0.0}});
-    EXPECT_FALSE(LoadV1(b, "v1_zerolen.bin").ok());
-  }
-  {
-    RoadnetV1Builder b;  // polyline length larger than the file
-    b.Vertices(two);
-    b.SegmentCount(1);
-    Append(&b.bytes, static_cast<int32_t>(0));
-    Append(&b.bytes, static_cast<int32_t>(1));
-    Append(&b.bytes, 13.9);
-    Append(&b.bytes, static_cast<uint8_t>(0));
-    Append(&b.bytes, static_cast<int32_t>(-1));
-    Append(&b.bytes, static_cast<uint32_t>(1u << 28));
-    EXPECT_FALSE(LoadV1(b, "v1_hugepoly.bin").ok());
-  }
-}
-
-// -- Format-v3 corpus (docs/formats.md) -------------------------------------
-// The mmap'ed fixed-layout format has its own failure surface: the whole
-// file is validated against the mapping, so truncation, bit flips and
-// malformed section tables must all fail before any struct view is handed
-// out.
+// -- Road-network and dataset corpus (docs/formats.md) ----------------------
+// The whole file is validated against the mapping, so truncation, bit flips,
+// malformed section tables and malformed fields must all fail before any
+// struct view is handed out.
 
 std::string SaveTinyNetworkV3(const std::string& name) {
   const roadnet::RoadNetwork net = MakeTinyNetwork();
@@ -346,6 +193,107 @@ std::string SaveTinyNetworkV3(const std::string& name) {
   const std::string path = TempPath(name);
   EXPECT_TRUE(roadnet::SaveRoadNetworkV3(net, path, &index).ok());
   return path;
+}
+
+TEST(RoadnetCorpusTest, RoundTripSurvives) {
+  const roadnet::RoadNetwork net = MakeTinyNetwork();
+  auto loaded = roadnet::LoadRoadNetwork(SaveTinyNetworkV3("roundtrip.bin"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value()->num_vertices(), net.num_vertices());
+  EXPECT_EQ(loaded.value()->num_segments(), net.num_segments());
+  EXPECT_EQ(loaded.value()->segment(0).reverse, net.segment(0).reverse);
+}
+
+// One malformed field: `patch` edits a valid image, the CRC is re-sealed
+// over the edit, and the load must fail with `why` -- never abort.
+struct Malformed {
+  const char* why;
+  std::function<void(v3::Image*)> patch;
+};
+
+// Byte offset of `field` in segment 0 of a tiny-network image.
+size_t Segment0(const v3::Image& img, size_t field) {
+  return img.Section(v3::kSecSegments) + field;
+}
+
+TEST(RoadnetCorpusTest, MalformedRecordsReturnStatusNotAbort) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const size_t kFrom = offsetof(roadnet::Segment, from);
+  const size_t kTo = offsetof(roadnet::Segment, to);
+  const size_t kReverse = offsetof(roadnet::Segment, reverse);
+  const size_t kClass = offsetof(roadnet::Segment, road_class);
+  const size_t kLength = offsetof(roadnet::Segment, length_m);
+  const size_t kSpeed = offsetof(roadnet::Segment, speed_limit_mps);
+  const size_t kPolyStart = offsetof(roadnet::Segment, poly_start);
+  const size_t kPolyLen = offsetof(roadnet::Segment, poly_len);
+  using v3::Image;
+  // The tiny network: segment 0 is 0->1 and its twin 1; segment 2 is 0->2,
+  // twin 3. Vertex 0's out-adjacency is {0, 2}.
+  const std::vector<Malformed> cases = {
+      {"section 1 size mismatch",  // vertex count beyond the file size
+       [&](Image* m) { m->Put(v3::kNumVerticesAt, uint64_t{1} << 30); }},
+      {"implausible element counts",
+       [&](Image* m) { m->Put(v3::kNumSegmentsAt, uint64_t{1} << 31); }},
+      {"non-finite vertex coordinate",
+       [&](Image* m) { m->Put(m->Section(v3::kSecVertices), kNan); }},
+      {"non-finite polyline point",
+       [&](Image* m) { m->Put(m->Section(v3::kSecPoints) + 8, kInf); }},
+      {"endpoint out of range",
+       [&](Image* m) { m->Put(Segment0(*m, kTo), int32_t{9999}); }},
+      {"endpoint out of range",  // negative
+       [&](Image* m) { m->Put(Segment0(*m, kFrom), int32_t{-3}); }},
+      {"speed limit not positive",
+       [&](Image* m) { m->Put(Segment0(*m, kSpeed), 0.0); }},
+      {"unknown road class",
+       [&](Image* m) { m->Put(Segment0(*m, kClass), uint8_t{9}); }},
+      {"reverse link out of range or asymmetric",
+       [&](Image* m) { m->Put(Segment0(*m, kReverse), int32_t{44}); }},
+      {"reverse link out of range or asymmetric",  // 0 -> 2, but 2 -> 3
+       [&](Image* m) { m->Put(Segment0(*m, kReverse), int32_t{2}); }},
+      {"non-positive length",  // zero-length polyline
+       [&](Image* m) { m->Put(Segment0(*m, kLength), 0.0); }},
+      {"polyline range out of bounds",  // one point
+       [&](Image* m) { m->Put(Segment0(*m, kPolyLen), uint32_t{1}); }},
+      {"polyline range out of bounds",  // longer than the file
+       [&](Image* m) { m->Put(Segment0(*m, kPolyLen), uint32_t{1} << 28); }},
+      {"polyline range out of bounds",  // runs past the point pool
+       [&](Image* m) { m->Put(Segment0(*m, kPolyStart), uint64_t{1} << 40); }},
+      {"adjacency offsets corrupt",
+       [&](Image* m) { m->Put(m->Section(v3::kSecVoutOff), uint64_t{1}); }},
+      {"adjacency ids corrupt",  // vertex 0's {0, 2} unsorted
+       [&](Image* m) {
+         m->Put(m->Section(v3::kSecVoutIds), int32_t{2});
+         m->Put(m->Section(v3::kSecVoutIds) + 4, int32_t{0});
+       }},
+      {"adjacency ids corrupt",  // out of range
+       [&](Image* m) { m->Put(m->Section(v3::kSecVoutIds), int32_t{99}); }},
+      {"adjacency ids corrupt",  // segment 1 leaves vertex 1, not 0
+       [&](Image* m) { m->Put(m->Section(v3::kSecVoutIds), int32_t{1}); }},
+      {"spatial offsets corrupt",
+       [&](Image* m) { m->Put(m->Section(v3::kSecCellOff), uint64_t{1}); }},
+      {"spatial offsets corrupt",  // not monotone
+       [&](Image* m) {
+         m->Put(m->Section(v3::kSecCellOff) + 8, uint64_t{1} << 40);
+       }},
+      {"spatial ids corrupt",
+       [&](Image* m) { m->Put(m->Section(v3::kSecCellIds), int32_t{99}); }},
+      {"spatial ids corrupt",
+       [&](Image* m) { m->Put(m->Section(v3::kSecCellIds), int32_t{-1}); }},
+  };
+  const std::string good = SaveTinyNetworkV3("malformed.bin");
+  const std::string path = TempPath("malformed_case.bin");
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i << ": " << cases[i].why);
+    v3::Image img(good, v3::kRoadnetHeaderBytes);
+    cases[i].patch(&img);
+    img.ResealTo(path);
+    const util::Status net = roadnet::LoadRoadNetwork(path).status();
+    EXPECT_FALSE(net.ok());
+    EXPECT_NE(net.message().find(cases[i].why), std::string::npos)
+        << net.ToString();
+    EXPECT_FALSE(roadnet::LoadCity(path).ok());
+  }
 }
 
 TEST(FormatV3CorpusTest, EveryTruncatedMappingFailsCleanly) {
@@ -373,24 +321,18 @@ TEST(FormatV3CorpusTest, EveryBitFlipIsCaughtByCrcFooter) {
 }
 
 TEST(FormatV3CorpusTest, MisalignedSectionOffsetIsRejectedDespiteValidCrc) {
-  const std::string path = SaveTinyNetworkV3("v3_misalign.bin");
-  std::string bytes = ReadFile(path);
-  // Section table starts right after the 48-byte header; entry 0's absolute
-  // offset lives at bytes [56, 64). Knock it off 8-byte alignment, then
-  // re-seal the CRC so only the alignment check can reject the file.
-  ASSERT_GT(bytes.size(), 64u + util::kFooterBytes);
-  uint64_t off = 0;
-  std::memcpy(&off, bytes.data() + 56, sizeof(off));
-  off += 4;
-  std::memcpy(bytes.data() + 56, &off, sizeof(off));
-  const uint32_t crc =
-      util::Crc32(bytes.data(), bytes.size() - util::kFooterBytes);
-  std::memcpy(bytes.data() + bytes.size() - util::kFooterBytes, &crc,
-              sizeof(crc));
+  v3::Image img(SaveTinyNetworkV3("v3_misalign.bin"), v3::kRoadnetHeaderBytes);
+  // Entry 0 of the section table, right after the header, keeps its absolute
+  // offset at entry bytes [8, 16). Knock it off 8-byte alignment; the CRC is
+  // re-sealed, so only the alignment check can reject the file.
+  const size_t entry0_offset = v3::kRoadnetHeaderBytes + 8;
+  img.Put(entry0_offset, img.Get<uint64_t>(entry0_offset) + 4);
   const std::string bad_path = TempPath("v3_misalign_case.bin");
-  WriteFile(bad_path, bytes);
+  img.ResealTo(bad_path);
   auto loaded = roadnet::LoadRoadNetwork(bad_path);
-  EXPECT_FALSE(loaded.ok());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("misaligned"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(FormatV3CorpusTest, TrajV3TruncationAndBitFlipFailCleanly) {
@@ -472,19 +414,13 @@ TEST(GridGuardTest, NonPositiveOrNonFiniteCellSizeIsInvalidArgument) {
 }
 
 TEST(GridGuardTest, EmbeddedIndexWithTinyCellsIsRejected) {
-  std::string bytes = ReadFile(SaveTinyNetworkV3("grid_embedded.bin"));
-  // The embedded index's cell size sits at header bytes [40, 48). At 1e-3 m
-  // the 502 m padded extent needs 2.5e11 cells. The CRC is re-sealed, so
-  // only the grid guard can reject the file.
-  ASSERT_GT(bytes.size(), 48u + util::kFooterBytes);
-  const double tiny = 1e-3;
-  std::memcpy(bytes.data() + 40, &tiny, sizeof(tiny));
-  const uint32_t crc =
-      util::Crc32(bytes.data(), bytes.size() - util::kFooterBytes);
-  std::memcpy(bytes.data() + bytes.size() - util::kFooterBytes, &crc,
-              sizeof(crc));
+  v3::Image img(SaveTinyNetworkV3("grid_embedded.bin"),
+                v3::kRoadnetHeaderBytes);
+  // At a 1e-3 m embedded cell the 502 m padded extent needs 2.5e11 cells.
+  // The CRC is re-sealed, so only the grid guard can reject the file.
+  img.Put(v3::kCellSizeAt, 1e-3);
   const std::string bad_path = TempPath("grid_embedded_case.bin");
-  WriteFile(bad_path, bytes);
+  img.ResealTo(bad_path);
   auto city = roadnet::LoadCity(bad_path);
   ASSERT_FALSE(city.ok());
   EXPECT_EQ(city.status().code(), util::Status::Code::kInvalidArgument)
@@ -492,100 +428,79 @@ TEST(GridGuardTest, EmbeddedIndexWithTinyCellsIsRejected) {
   EXPECT_FALSE(roadnet::LoadRoadNetwork(bad_path).ok());
 }
 
+std::string SaveTinyDatasetV3(const std::string& name) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(traj::SaveDatasetV3(MakeTinyDataset(MakeTinyNetwork()), path)
+                  .ok());
+  return path;
+}
+
 TEST(TrajCorpusTest, RoundTripSurvives) {
   const roadnet::RoadNetwork net = MakeTinyNetwork();
   const auto records = MakeTinyDataset(net);
-  const std::string path = TempPath("ds_roundtrip.bin");
-  ASSERT_TRUE(traj::SaveDataset(records, path).ok());
-  auto loaded = traj::LoadDataset(path);
+  auto loaded = traj::LoadDataset(SaveTinyDatasetV3("ds_roundtrip.bin"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded.value().size(), records.size());
   EXPECT_EQ(loaded.value()[0].trip.route, records[0].trip.route);
   EXPECT_EQ(loaded.value()[0].gps.size(), records[0].gps.size());
 }
 
-TEST(TrajCorpusTest, EveryTruncationAndBitFlipFailsCleanly) {
-  const roadnet::RoadNetwork net = MakeTinyNetwork();
-  const std::string path = TempPath("ds_corrupt.bin");
-  ASSERT_TRUE(traj::SaveDataset(MakeTinyDataset(net), path).ok());
-  const std::string bytes = ReadFile(path);
-  const std::string case_path = TempPath("ds_corrupt_case.bin");
-  for (size_t keep = 0; keep < bytes.size(); keep += 3) {
-    WriteFile(case_path, bytes.substr(0, keep));
-    EXPECT_FALSE(traj::LoadDataset(case_path).ok()) << "trunc " << keep;
-  }
-  for (size_t i = 0; i < bytes.size(); i += 5) {
-    std::string mutated = bytes;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x11);
-    WriteFile(case_path, mutated);
-    EXPECT_FALSE(traj::LoadDataset(case_path).ok()) << "flip " << i;
-  }
-}
-
-struct TrajV1Builder {
-  std::string bytes;
-
-  TrajV1Builder() {
-    Append(&bytes, static_cast<uint32_t>(0x0DA7A701));
-    Append(&bytes, static_cast<uint32_t>(1));
-  }
-  void Count(uint64_t n) { Append(&bytes, n); }
-  void TripHeader(double start, geo::Point dest, int32_t day,
-                  uint32_t route_len) {
-    Append(&bytes, start);
-    Append(&bytes, dest.x);
-    Append(&bytes, dest.y);
-    Append(&bytes, day);
-    Append(&bytes, route_len);
-  }
-};
-
-util::Status LoadTrajV1(const TrajV1Builder& b, const std::string& name) {
-  const std::string path = TempPath(name);
-  WriteFile(path, b.bytes);
-  return traj::LoadDataset(path).status();
+// Byte offset of `field` in trip 0's record.
+size_t Trip0(const v3::Image& img, size_t field) {
+  return img.Section(v3::kSecTrips) + field;
 }
 
 TEST(TrajCorpusTest, MalformedRecordsReturnStatusNotAbort) {
   const double kNan = std::numeric_limits<double>::quiet_NaN();
-  {
-    TrajV1Builder b;  // trip count far beyond the file size
-    b.Count(1ull << 40);
-    EXPECT_FALSE(LoadTrajV1(b, "traj_hugecount.bin").ok());
-  }
-  {
-    TrajV1Builder b;  // non-finite start time
-    b.Count(1);
-    b.TripHeader(kNan, {0.0, 0.0}, 0, 2);
-    EXPECT_FALSE(LoadTrajV1(b, "traj_nanstart.bin").ok());
-  }
-  {
-    TrajV1Builder b;  // negative day
-    b.Count(1);
-    b.TripHeader(0.0, {0.0, 0.0}, -4, 2);
-    EXPECT_FALSE(LoadTrajV1(b, "traj_negday.bin").ok());
-  }
-  {
-    TrajV1Builder b;  // route length far beyond the file size
-    b.Count(1);
-    b.TripHeader(0.0, {0.0, 0.0}, 0, 1u << 29);
-    EXPECT_FALSE(LoadTrajV1(b, "traj_hugeroute.bin").ok());
-  }
-  {
-    TrajV1Builder b;  // negative segment id
-    b.Count(1);
-    b.TripHeader(0.0, {0.0, 0.0}, 0, 2);
-    Append(&b.bytes, static_cast<int32_t>(0));
-    Append(&b.bytes, static_cast<int32_t>(-9));
-    Append(&b.bytes, static_cast<uint32_t>(0));  // gps_len
-    EXPECT_FALSE(LoadTrajV1(b, "traj_negsegment.bin").ok());
-  }
-  {
-    TrajV1Builder b;  // gps length far beyond the file size
-    b.Count(1);
-    b.TripHeader(0.0, {0.0, 0.0}, 0, 0);
-    Append(&b.bytes, static_cast<uint32_t>(1u << 29));
-    EXPECT_FALSE(LoadTrajV1(b, "traj_hugegps.bin").ok());
+  const double kInf = std::numeric_limits<double>::infinity();
+  const size_t kGpsTime = offsetof(traj::GpsPoint, time_s);
+  using v3::Image;
+  // The tiny dataset: one trip, a 2-segment route and 2 GPS points.
+  const std::vector<Malformed> cases = {
+      {"section 1 size mismatch",  // trip count beyond the file size
+       [&](Image* m) { m->Put(v3::kNumTripsAt, uint64_t{1} << 30); }},
+      {"implausible element counts",
+       [&](Image* m) { m->Put(v3::kNumGpsPointsAt, uint64_t{1} << 40); }},
+      {"bad header fields",  // non-finite start time
+       [&](Image* m) { m->Put(Trip0(*m, v3::kTripStartTimeAt), kNan); }},
+      {"bad header fields",  // non-finite destination
+       [&](Image* m) { m->Put(Trip0(*m, v3::kTripDestXAt), kInf); }},
+      {"bad header fields",  // negative day
+       [&](Image* m) { m->Put(Trip0(*m, v3::kTripDayAt), int32_t{-4}); }},
+      {"negative segment id",
+       [&](Image* m) {
+         m->Put(m->Section(v3::kSecRouteIds) + 4, int32_t{-9});
+       }},
+      {"non-finite gps point",
+       [&](Image* m) {
+         m->Put(m->Section(v3::kSecGpsPoints) + kGpsTime, kInf);
+       }},
+      {"pool range out of bounds",  // route longer than the file
+       [&](Image* m) {
+         m->Put(Trip0(*m, v3::kTripRouteLenAt), uint32_t{1} << 29);
+       }},
+      {"pool range out of bounds",  // route runs past the route-id pool
+       [&](Image* m) {
+         m->Put(Trip0(*m, v3::kTripRouteStartAt), uint64_t{1});
+       }},
+      {"pool range out of bounds",  // GPS trace longer than the file
+       [&](Image* m) {
+         m->Put(Trip0(*m, v3::kTripGpsLenAt), uint32_t{1} << 29);
+       }},
+      {"pool range out of bounds",  // GPS trace runs past the point pool
+       [&](Image* m) { m->Put(Trip0(*m, v3::kTripGpsStartAt), uint64_t{1}); }},
+  };
+  const std::string good = SaveTinyDatasetV3("ds_malformed.bin");
+  const std::string path = TempPath("ds_malformed_case.bin");
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i << ": " << cases[i].why);
+    v3::Image img(good, v3::kTrajHeaderBytes);
+    cases[i].patch(&img);
+    img.ResealTo(path);
+    const util::Status s = traj::LoadDataset(path).status();
+    EXPECT_FALSE(s.ok());
+    EXPECT_NE(s.message().find(cases[i].why), std::string::npos)
+        << s.ToString();
   }
 }
 

@@ -1,11 +1,12 @@
 // Format-v3 (docs/formats.md) behavior tests: zero-copy loads that do no
-// per-segment heap allocation, cross-version parity (a v1/v2/v3 file of the
-// same network answers every query bitwise identically), converter round
-// trips, the buffered mmap fallback, and the `deepst_cli inspect` report
-// functions.
+// per-segment heap allocation, parity (a loaded file answers every query
+// bitwise like the network it was saved from), bitwise round trips, the
+// buffered mmap fallback, the refusal of other format versions, and the
+// `deepst_cli inspect` report functions.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "traj/io.h"
 #include "traj/types.h"
 #include "util/rng.h"
+#include "v3_image.h"
 
 // Counting operator new (alloc_counter.h) lets the zero-copy test assert an
 // O(1) allocation count for a v3 load.
@@ -39,11 +41,6 @@ std::string ReadFileBytes(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return std::move(buf).str();
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 std::unique_ptr<roadnet::RoadNetwork> MakeCity(int rows) {
@@ -128,44 +125,27 @@ TEST(FormatV3Test, LoadDoesNoPerSegmentAllocation) {
 }
 #endif  // DEEPST_COUNT_ALLOCS
 
-TEST(FormatV3Test, CrossVersionFilesAnswerBitwiseIdentically) {
+TEST(FormatV3Test, FileAnswersBitwiseLikeTheNetworkItWasSavedFrom) {
   const auto net = MakeCity(10);
-  const std::string v2_path = TempPath("xver_v2.bin");
-  ASSERT_TRUE(roadnet::SaveRoadNetwork(*net, v2_path).ok());
+  const roadnet::SpatialIndex idx(*net, kCell);
+  const std::string embedded_path = TempPath("parity_embedded.bin");
+  const std::string built_path = TempPath("parity_built.bin");
+  ASSERT_TRUE(roadnet::SaveRoadNetworkV3(*net, embedded_path, &idx).ok());
+  ASSERT_TRUE(roadnet::SaveRoadNetworkV3(*net, built_path).ok());
 
-  // Hand-patch a v1 file out of the v2 bytes: version 1 at offset 4, no
-  // CRC footer (v1 predates the checksum).
-  std::string v1_bytes = ReadFileBytes(v2_path);
-  ASSERT_GT(v1_bytes.size(), 12u);
-  const uint32_t kOne = 1;
-  std::memcpy(v1_bytes.data() + 4, &kOne, sizeof(kOne));
-  v1_bytes.resize(v1_bytes.size() - 4);
-  const std::string v1_path = TempPath("xver_v1.bin");
-  WriteFileBytes(v1_path, v1_bytes);
+  // One file adopts its embedded index, the other builds one at load.
+  auto embedded = roadnet::LoadCity(embedded_path, kCell);
+  auto built = roadnet::LoadCity(built_path, kCell);
+  ASSERT_TRUE(embedded.ok()) << embedded.status().ToString();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_TRUE(embedded.value().index->zero_copy());
+  EXPECT_FALSE(built.value().index->zero_copy());
 
-  // Convert v2 -> v3 the way `deepst_cli convert` does: load, then write the
-  // fixed layout with an embedded index.
-  auto from_v2 = roadnet::LoadCity(v2_path, kCell);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-  const std::string v3_path = TempPath("xver_v3.bin");
-  ASSERT_TRUE(roadnet::SaveRoadNetworkV3(*from_v2.value().net, v3_path,
-                                         from_v2.value().index.get())
-                  .ok());
-
-  auto from_v1 = roadnet::LoadCity(v1_path, kCell);
-  auto from_v3 = roadnet::LoadCity(v3_path, kCell);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status().ToString();
-  EXPECT_FALSE(from_v2.value().index->zero_copy());
-  EXPECT_TRUE(from_v3.value().index->zero_copy());
-
-  ExpectSameTopology(*net, *from_v1.value().net);
-  ExpectSameTopology(*net, *from_v2.value().net);
-  ExpectSameTopology(*net, *from_v3.value().net);
-
+  ExpectSameTopology(*net, *embedded.value().net);
+  ExpectSameTopology(*net, *built.value().net);
   const geo::BoundingBox box = roadnet::SpatialIndexPaddedBounds(*net);
-  ExpectSameQueries(*from_v2.value().index, *from_v1.value().index, box);
-  ExpectSameQueries(*from_v2.value().index, *from_v3.value().index, box);
+  ExpectSameQueries(idx, *embedded.value().index, box);
+  ExpectSameQueries(idx, *built.value().index, box);
 }
 
 TEST(FormatV3Test, EmbeddedIndexWithOtherCellSizeIsRebuilt) {
@@ -248,52 +228,110 @@ void ExpectSameRecords(const std::vector<traj::TripRecord>& a,
   }
 }
 
-TEST(FormatV3Test, TrajDatasetConvertsAcrossVersionsLosslessly) {
+TEST(FormatV3Test, TrajDatasetRoundTripsBitwise) {
   const auto net = MakeCity(8);
   const auto records = MakeDataset(*net);
   ASSERT_FALSE(records.empty());
-  const std::string v2_path = TempPath("traj_v2.bin");
-  const std::string v3_path = TempPath("traj_v3.bin");
-  ASSERT_TRUE(traj::SaveDataset(records, v2_path).ok());
+  const std::string path = TempPath("traj_roundtrip.bin");
+  const std::string again_path = TempPath("traj_roundtrip_again.bin");
+  ASSERT_TRUE(traj::SaveDatasetV3(records, path).ok());
+  auto loaded = traj::LoadDataset(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameRecords(records, loaded.value());
+  // Saving what was loaded writes the same bytes.
+  ASSERT_TRUE(traj::SaveDatasetV3(loaded.value(), again_path).ok());
+  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(again_path));
+}
 
-  auto v2_loaded = traj::LoadDataset(v2_path);
-  ASSERT_TRUE(v2_loaded.ok()) << v2_loaded.status().ToString();
-  ASSERT_TRUE(traj::SaveDatasetV3(v2_loaded.value(), v3_path).ok());
-  auto v3_loaded = traj::LoadDataset(v3_path);
-  ASSERT_TRUE(v3_loaded.ok()) << v3_loaded.status().ToString();
-
-  ExpectSameRecords(records, v2_loaded.value());
-  ExpectSameRecords(records, v3_loaded.value());
+// A file the loader rejects is reported unhealthy, with the loader's error,
+// even when its CRC is valid.
+template <typename Describe>
+void ExpectUnhealthy(Describe describe, const std::string& path,
+                     const std::string& why) {
+  bool healthy = true;
+  const util::StatusOr<std::string> desc = describe(path, &healthy);
+  ASSERT_TRUE(desc.ok()) << desc.status().ToString();
+  EXPECT_FALSE(healthy) << desc.value();
+  EXPECT_NE(desc.value().find(why), std::string::npos) << desc.value();
+  EXPECT_EQ(desc.value().find("crc: ok"), std::string::npos) << desc.value();
 }
 
 TEST(FormatV3Test, DescribeReportsVersionCountsAndCrc) {
   const auto net = MakeCity(6);
   const roadnet::SpatialIndex idx(*net, kCell);
-  const std::string v2_path = TempPath("desc_v2.bin");
-  const std::string v3_path = TempPath("desc_v3.bin");
-  ASSERT_TRUE(roadnet::SaveRoadNetwork(*net, v2_path).ok());
-  ASSERT_TRUE(roadnet::SaveRoadNetworkV3(*net, v3_path, &idx).ok());
+  const std::string net_path = TempPath("desc_net.bin");
+  ASSERT_TRUE(roadnet::SaveRoadNetworkV3(*net, net_path, &idx).ok());
 
-  auto v2_desc = roadnet::DescribeRoadNetworkFile(v2_path);
-  ASSERT_TRUE(v2_desc.ok()) << v2_desc.status().ToString();
-  EXPECT_NE(v2_desc.value().find("v2"), std::string::npos);
-  EXPECT_NE(v2_desc.value().find("crc: ok"), std::string::npos);
-
-  auto v3_desc = roadnet::DescribeRoadNetworkFile(v3_path);
-  ASSERT_TRUE(v3_desc.ok()) << v3_desc.status().ToString();
-  EXPECT_NE(v3_desc.value().find("v3"), std::string::npos);
-  EXPECT_NE(v3_desc.value().find("crc: ok"), std::string::npos);
-  EXPECT_NE(v3_desc.value().find(std::to_string(net->num_segments())),
+  bool healthy = false;
+  auto net_desc = roadnet::DescribeRoadNetworkFile(net_path, &healthy);
+  ASSERT_TRUE(net_desc.ok()) << net_desc.status().ToString();
+  EXPECT_TRUE(healthy) << net_desc.value();
+  EXPECT_NE(net_desc.value().find("v3"), std::string::npos);
+  EXPECT_NE(net_desc.value().find("crc: ok"), std::string::npos);
+  EXPECT_NE(net_desc.value().find(std::to_string(net->num_segments())),
             std::string::npos);
+
+  // Segment 0's `to` out of range, the CRC re-sealed over it.
+  v3::Image bad_net(net_path, v3::kRoadnetHeaderBytes);
+  bad_net.Put(bad_net.Section(v3::kSecSegments) +
+                  offsetof(roadnet::Segment, to),
+              roadnet::VertexId{9999});
+  const std::string bad_net_path = TempPath("desc_net_bad.bin");
+  bad_net.ResealTo(bad_net_path);
+  ExpectUnhealthy(roadnet::DescribeRoadNetworkFile, bad_net_path,
+                  "endpoint out of range");
 
   const auto records = MakeDataset(*net);
   const std::string traj_path = TempPath("desc_traj.bin");
   ASSERT_TRUE(traj::SaveDatasetV3(records, traj_path).ok());
-  auto traj_desc = traj::DescribeDatasetFile(traj_path);
+  auto traj_desc = traj::DescribeDatasetFile(traj_path, &healthy);
   ASSERT_TRUE(traj_desc.ok()) << traj_desc.status().ToString();
+  EXPECT_TRUE(healthy) << traj_desc.value();
   EXPECT_NE(traj_desc.value().find("v3"), std::string::npos);
   EXPECT_NE(traj_desc.value().find(std::to_string(records.size())),
             std::string::npos);
+
+  // Trip 0's route runs past the end of the route-id pool, re-sealed.
+  v3::Image bad_traj(traj_path, v3::kTrajHeaderBytes);
+  bad_traj.Put(bad_traj.Section(v3::kSecTrips) + v3::kTripRouteLenAt,
+               bad_traj.Get<uint32_t>(v3::kNumRouteIdsAt) + 1);
+  const std::string bad_traj_path = TempPath("desc_traj_bad.bin");
+  bad_traj.ResealTo(bad_traj_path);
+  ExpectUnhealthy(traj::DescribeDatasetFile, bad_traj_path,
+                  "pool range out of bounds");
+}
+
+TEST(FormatV3Test, OtherVersionsFailNamingTheRemedy) {
+  const auto net = MakeCity(6);
+  const std::string net_path = TempPath("oldver_net.bin");
+  const std::string traj_path = TempPath("oldver_traj.bin");
+  ASSERT_TRUE(roadnet::SaveRoadNetworkV3(*net, net_path).ok());
+  ASSERT_TRUE(traj::SaveDatasetV3(MakeDataset(*net), traj_path).ok());
+  for (uint32_t version : {1u, 2u, 4u}) {
+    SCOPED_TRACE(version);
+    const std::string want =
+        "unsupported version " + std::to_string(version);
+    const auto expect_refused = [&](const util::Status& s) {
+      EXPECT_FALSE(s.ok());
+      EXPECT_NE(s.message().find(want), std::string::npos) << s.ToString();
+      EXPECT_NE(s.message().find("deepst_cli generate"), std::string::npos)
+          << s.ToString();
+    };
+    v3::Image old_net(net_path, v3::kRoadnetHeaderBytes);
+    old_net.Put(v3::kVersionAt, version);
+    const std::string old_net_path = TempPath("oldver_net_case.bin");
+    old_net.ResealTo(old_net_path);
+    expect_refused(roadnet::LoadCity(old_net_path).status());
+    expect_refused(roadnet::LoadRoadNetwork(old_net_path).status());
+    ExpectUnhealthy(roadnet::DescribeRoadNetworkFile, old_net_path, want);
+
+    v3::Image old_traj(traj_path, v3::kTrajHeaderBytes);
+    old_traj.Put(v3::kVersionAt, version);
+    const std::string old_traj_path = TempPath("oldver_traj_case.bin");
+    old_traj.ResealTo(old_traj_path);
+    expect_refused(traj::LoadDataset(old_traj_path).status());
+    ExpectUnhealthy(traj::DescribeDatasetFile, old_traj_path, want);
+  }
 }
 
 TEST(FormatV3Test, DescribeProbesRejectForeignMagicsWithInvalidArgument) {

@@ -15,7 +15,7 @@ namespace {
 TEST(RoadNetworkIoTest, RoundTripPreservesTopologyAndGeometry) {
   auto net = roadnet::BuildGridCity(roadnet::ChengduMiniConfig());
   const std::string path = testing::TempDir() + "/deepst_net.bin";
-  ASSERT_TRUE(roadnet::SaveRoadNetwork(*net, path).ok());
+  ASSERT_TRUE(roadnet::SaveRoadNetworkV3(*net, path).ok());
   auto loaded = roadnet::LoadRoadNetwork(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const auto& net2 = *loaded.value();
@@ -74,7 +74,7 @@ std::vector<traj::TripRecord>* DatasetIoTest::records_ = nullptr;
 
 TEST_F(DatasetIoTest, BinaryRoundTrip) {
   const std::string path = testing::TempDir() + "/deepst_dataset.bin";
-  ASSERT_TRUE(traj::SaveDataset(*records_, path).ok());
+  ASSERT_TRUE(traj::SaveDatasetV3(*records_, path).ok());
   auto loaded = traj::LoadDataset(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const auto& back = loaded.value();

@@ -118,6 +118,10 @@ TEST_F(ServingTest, MalformedQueriesAreInvalidNotFatal) {
   EXPECT_EQ(serving.Predict(bad).status().code(),
             util::Status::Code::kInvalidArgument);
   bad = base;
+  bad.start_time_s = 1e300;  // finite, but past the last traffic slot
+  EXPECT_EQ(serving.Predict(bad).status().code(),
+            util::Status::Code::kInvalidArgument);
+  bad = base;
   bad.destination.x = kNan;
   EXPECT_EQ(serving.Predict(bad).status().code(),
             util::Status::Code::kInvalidArgument);

@@ -434,6 +434,38 @@ TEST_F(StreamingTest, IngestValidatesRowsAndCountsRejects) {
   EXPECT_EQ(durable.size(), 3u);
 }
 
+TEST_F(StreamingTest, FarFutureRowsSaturateTheirSlotThroughWalAndReplay) {
+  const std::string path = TempPath("far_future.wal");
+  std::remove(path.c_str());
+  std::vector<SpeedObservation> rows = MakeRows(3, 100.0);
+  rows.push_back({{1.0, 1.0}, 1e300, 3.0});  // finite and >= 0: accepted
+  nn::Tensor live;
+  {
+    auto wal = ObservationWal::Open(path, {}, nullptr, nullptr);
+    ASSERT_TRUE(wal.ok());
+    traffic::SnapshotStore store(FreshCache(), std::move(wal).value(), {});
+    traffic::IngestReport report;
+    ASSERT_TRUE(store.Ingest(rows, &report).ok());
+    EXPECT_EQ(report.accepted, 4);
+    store.SwapNow();
+    traffic::SnapshotPin pin = store.Acquire();
+    EXPECT_TRUE(pin.cache()->HasObservations(1500.0));
+    EXPECT_FALSE(pin.cache()->HasObservations(1e300));
+    live = pin.cache()->TensorForTime(1500.0);
+    ASSERT_TRUE(store.SyncWal().ok());
+  }
+  // Replaying the WAL folds the same rows into the same snapshot.
+  std::vector<SpeedObservation> replayed;
+  auto wal = ObservationWal::Open(path, {}, &replayed, nullptr);
+  ASSERT_TRUE(wal.ok());
+  ExpectRowsEqual(rows, replayed);
+  traffic::SnapshotStore store(FreshCache(), std::move(wal).value(), {});
+  store.QueueRecovered(std::move(replayed));
+  store.SwapNow();
+  traffic::SnapshotPin pin = store.Acquire();
+  EXPECT_TRUE(SameTensorBytes(live, pin.cache()->TensorForTime(1500.0)));
+}
+
 TEST_F(StreamingTest, WalAppendFailureAcksNothing) {
   const std::string path = TempPath("walfail.wal");
   std::remove(path.c_str());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <thread>
 #include <vector>
@@ -188,6 +189,35 @@ TEST(TrafficTensorCacheTest, SlotSharingAndWindow) {
   // A much later slot has an empty window.
   const nn::Tensor& t3 = cache.TensorForTime(10 * 3600.0);
   EXPECT_DOUBLE_EQ(t3.Sum(), 0.0);
+}
+
+TEST(TrafficTensorCacheTest, SlotIndexSaturatesInsteadOfOverflowing) {
+  geo::BoundingBox box;
+  box.Extend({0, 0});
+  box.Extend({400, 400});
+  TrafficTensorCache cache(geo::GridSpec(box, 200.0), /*slot_seconds=*/1200.0,
+                           /*window_seconds=*/1800.0);
+  constexpr int kMax = TrafficTensorCache::kMaxSlot;
+  EXPECT_EQ(cache.SlotOf(0.0), 0);
+  EXPECT_EQ(cache.SlotOf(3599.0), 2);
+  EXPECT_EQ(cache.SlotOf(1200.0 * (kMax - 1) + 600.0), kMax - 1);
+  EXPECT_EQ(cache.SlotOf(1e300), kMax);
+  EXPECT_EQ(cache.SlotOf(std::numeric_limits<double>::infinity()), kMax);
+  EXPECT_EQ(cache.SlotOf(-1e300), -kMax);
+  EXPECT_TRUE(cache.CheckSlotRange(86400.0).ok());
+  EXPECT_EQ(cache.CheckSlotRange(1e300).code(),
+            util::Status::Code::kInvalidArgument);
+  EXPECT_FALSE(cache.CheckSlotRange(-1e300).ok());
+  // A day of 10-microsecond slots does not fit in an int.
+  TrafficTensorCache tiny_slots(geo::GridSpec(box, 200.0), 1e-5, 1800.0);
+  EXPECT_FALSE(tiny_slots.CheckSlotRange(86400.0).ok());
+
+  // A far-future row lands in the saturated slot; the others keep theirs.
+  cache.AddObservations({{{50, 50}, 500.0, 10.0}, {{50, 50}, 1e300, 10.0}});
+  EXPECT_TRUE(cache.HasObservations(1500.0));
+  EXPECT_GT(cache.TensorForTime(1500.0).Sum(), 0.0);
+  EXPECT_FALSE(cache.HasObservations(1e300));
+  EXPECT_DOUBLE_EQ(cache.TensorForTime(1e300).Sum(), 0.0);
 }
 
 TEST(TrafficTensorCacheTest, CloneBitIdenticalAndIndependent) {

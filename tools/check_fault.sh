@@ -7,11 +7,13 @@
 #   1. corruption_test  -- byte-level corpus against every binary/CSV loader
 #   2. serving_test     -- degradation, deadline and pool-failure coverage
 #   3. deepst_cli e2e   -- armed fault points (DEEPST_FAULTS env and --faults
-#                          flag), a corrupted data file, bad grid and model
-#                          size flags, an unknown flag and a valid city too
-#                          large for its grid must each produce a clean
-#                          nonzero exit with an error message; never a
-#                          crash, never a sanitizer report.
+#                          flag), a corrupted data file, a file of another
+#                          format version, bad grid, slot and model size
+#                          flags, an unknown flag and a valid city too large
+#                          for its grid must each produce a clean nonzero
+#                          exit with an error message (from `inspect` too,
+#                          for the files); never a crash, never a sanitizer
+#                          report.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -81,16 +83,16 @@ expect_fail "" \
   --model "$DATA_DIR/none.bin"
 mv "$DATA_DIR/network.bak" "$DATA_DIR/network.bin"
 
-echo "== bad grids, model sizes and unknown flags fail cleanly =="
+echo "== bad grids, slots, model sizes, unknown flags and file versions fail cleanly =="
 expect_fail "traffic-cell-m" \
   "$CLI" evaluate --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
   --model "$DATA_DIR/none.bin" --traffic-cell-m 0
 expect_fail "traffic-slot-s" \
   "$CLI" evaluate --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
   --model "$DATA_DIR/none.bin" --traffic-slot-s nan
-expect_fail "cell size" \
-  "$CLI" convert --in "$DATA_DIR/network.bin" --out "$DATA_DIR/never.bin" \
-  --cell-size 0
+expect_fail "traffic-slot-s" \
+  "$CLI" evaluate --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
+  --model "$DATA_DIR/none.bin" --traffic-slot-s 1e-5
 expect_fail "hidden" \
   "$CLI" train --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
   --model "$DATA_DIR/never.bin" --hidden 0
@@ -100,23 +102,50 @@ expect_fail "unknown flag --bogus" \
 if [ -n "$(ls -A "$DATA_DIR/bogus")" ] || [ -e "$DATA_DIR/never.bin" ]; then
   echo "FAIL: a rejected command wrote its output" >&2; exit 1
 fi
-# A valid network.bin whose 250 m index grid would hold 4.3e9 cells: the
-# generated (v2) file with vertex 0 moved to (1.64e7, 1.64e7) and its CRC
-# re-sealed.
-cp "$DATA_DIR/network.bin" "$DATA_DIR/network.bak"
-python3 - "$DATA_DIR/network.bin" <<'EOF'
+# Patches network.bin in place: packs VALUES with the struct FORMAT at byte
+# OFFSET of section SECTION's payload (section 0: the file itself, from its
+# header), then re-seals the CRC-32 in the 8-byte footer over everything
+# before the footer, so only the loader's own checks can reject the file.
+#   patch_network SECTION OFFSET FORMAT VALUES...
+patch_network() {
+  python3 - "$DATA_DIR/network.bin" "$@" <<'EOF'
 import struct, sys, zlib
-path = sys.argv[1]
+path, section, offset, fmt = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+kind = float if fmt[-1] in "df" else int
+values = [kind(v) for v in sys.argv[5:]]
 b = bytearray(open(path, "rb").read())
-# v2 layout: magic, version and vertex count (u32 each), then vertex 0's
-# x and y (f64 each); the last 4 bytes are the CRC-32 of everything before.
-struct.pack_into("<dd", b, 12, 1.64e7, 1.64e7)
-struct.pack_into("<I", b, len(b) - 4, zlib.crc32(bytes(b[:-4])))
+if section != 0:
+    # The 48-byte header keeps the section count at byte 32; each 24-byte
+    # section-table entry after it is (u32 id, u32 reserved, u64 offset,
+    # u64 bytes).
+    (num_sections,) = struct.unpack_from("<I", b, 32)
+    entries = [struct.unpack_from("<IIQQ", b, 48 + 24 * i)
+               for i in range(num_sections)]
+    offset += next(e[2] for e in entries if e[0] == section)
+struct.pack_into(fmt, b, offset, *values)
+struct.pack_into("<I", b, len(b) - 8, zlib.crc32(bytes(b[:-8])))
 open(path, "wb").write(b)
 EOF
+}
+cp "$DATA_DIR/network.bin" "$DATA_DIR/network.bak"
+# A valid network.bin whose 250 m index grid would hold 4.3e9 cells: vertex
+# 0 (section 1) moved to (1.64e7, 1.64e7).
+patch_network 1 0 "<dd" 1.64e7 1.64e7
 expect_fail "cells, more than" \
   "$CLI" evaluate --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
   --model "$DATA_DIR/none.bin"
+expect_fail "cells, more than" "$CLI" inspect "$DATA_DIR/network.bin"
+cp "$DATA_DIR/network.bak" "$DATA_DIR/network.bin"
+# Segment 0 (section 2) with `to`, at byte 4 of the record, out of range.
+patch_network 2 4 "<i" 9999
+expect_fail "endpoint out of range" "$CLI" inspect "$DATA_DIR/network.bin"
+cp "$DATA_DIR/network.bak" "$DATA_DIR/network.bin"
+# A file of another format version is refused, naming the remedy.
+patch_network 0 4 "<I" 2
+expect_fail "deepst_cli generate" \
+  "$CLI" evaluate --data-dir "$DATA_DIR" --train-days 2 --val-days 1 \
+  --model "$DATA_DIR/none.bin"
+expect_fail "unsupported version 2" "$CLI" inspect "$DATA_DIR/network.bin"
 mv "$DATA_DIR/network.bak" "$DATA_DIR/network.bin"
 
 echo "== train a small model for the serving e2e =="
